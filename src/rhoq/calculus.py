@@ -1,12 +1,12 @@
 """Two-parameter deformed number system over Z_p.
 
-Deformed integers [n] = (rho^n - q^n)/(rho - q) are always evaluated through
-the summation form rho^(n-1) + rho^(n-2) q + ... + q^(n-1), never the
-quotient, so rho = q is not a degenerate case and no division precision is
-lost.  Powers rho^x for p-adic exponents x are defined by continuity:
-the result mod p^m only depends on x mod p^m (one digit of slack against the
-sharp p^(m-1) bound, which keeps the reduction rule trivial to state and
-test).
+Deformed integers [n] = (rho^n - q^n)/(rho - q) are never evaluated through
+the quotient: binary splitting with [2m] = [m](rho^m + q^m) and
+[m+1] = rho^m + q[m] takes O(log n) products and no division, so rho = q is
+not a degenerate case and no division precision is lost.  Powers rho^x for
+p-adic exponents x are defined by continuity: the result mod p^m only
+depends on x mod p^m (one digit of slack against the sharp p^(m-1) bound,
+which keeps the reduction rule trivial to state and test).
 """
 
 from __future__ import annotations
@@ -156,24 +156,33 @@ class RhoQParams:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _deformed_integer_residue(params: RhoQParams, n: int, w: int) -> int:
-    """Sum rho^i q^(n-1-i), i = 0..n-1, as a residue mod p^w."""
-    p = params.prime
-    mod = p**w
-    rho = params.rho_residue(w)
-    q = params.q_residue(w)
-    term = pow(q, n - 1, mod) if n else 0
-    step = rho * pow(q, -1, mod) % mod
-    acc = 0
-    for _ in range(n):
-        acc = (acc + term) % mod
-        term = term * step % mod
+#: entries per calculus memo table; the tables are keyed by the parameter
+#: pair, so a long-lived process that sees many pairs must not keep them all.
+MEMO_SIZE = 4096
+
+
+def _bracket_residue(rho: int, q: int, n: int, mod: int) -> int:
+    """[n] for the residues rho, q, mod `mod`, by binary splitting over the bits of n."""
+    acc, rho_m, q_m = 0, 1, 1  # [m], rho^m, q^m for the prefix m of n's bits
+    for bit in bin(n)[2:]:
+        acc = acc * (rho_m + q_m) % mod
+        rho_m = rho_m * rho_m % mod
+        q_m = q_m * q_m % mod
+        if bit == "1":
+            acc = (rho_m + q * acc) % mod
+            rho_m = rho_m * rho % mod
+            q_m = q_m * q % mod
     return acc
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _deformed_integer_residue(params: RhoQParams, n: int, w: int) -> int:
+    """Sum rho^i q^(n-1-i), i = 0..n-1, as a residue mod p^w."""
+    return _bracket_residue(params.rho_residue(w), params.q_residue(w), n, params.prime**w)
+
+
 def rhoq_integer(n: int, params: RhoQParams, digits: int | None = None) -> PadicNumber:
-    """[n] for a nonnegative integer n, by summation (exact at ρ = q)."""
+    """[n] for a nonnegative integer n (exact at ρ = q)."""
     if n < 0:
         raise ValueError("deformed integer defined for n >= 0")
     p = params.prime
@@ -184,19 +193,24 @@ def rhoq_integer(n: int, params: RhoQParams, digits: int | None = None) -> Padic
     return PadicNumber.from_integer(res, p, w) if res else PadicNumber.bounded_zero(p, w)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _p_power_bracket_residue(params: RhoQParams, N: int, w: int) -> int:
-    if N == 0:
-        return 1
-    head = _deformed_integer_residue(params.lifted(N - 1), params.prime, w)
-    return head * _p_power_bracket_residue(params, N - 1, w) % params.prime**w
+    """Tower product [p^N] = prod_k [p] at (rho^(p^k), q^(p^k)), k < N."""
+    p, mod = params.prime, params.prime**w
+    rho, q = params.rho_residue(w), params.q_residue(w)
+    acc = 1
+    for _ in range(N):
+        acc = acc * _bracket_residue(rho, q, p, mod) % mod
+        rho, q = pow(rho, p, mod), pow(q, p, mod)
+    return acc
 
 
 def p_power_bracket(params: RhoQParams, N: int, digits: int | None = None) -> PadicNumber:
     """[p^N] via the tower product of single-level brackets at lifted parameters.
 
-    Equal to rhoq_integer(p**N, ...) but O(N*p) instead of O(p^N); the two
-    paths are cross-validated in the test suite.
+    Equal to rhoq_integer(p**N, ...) by a different route (N products of
+    [p] at p-power-lifted parameters, not binary splitting over the bits of
+    p^N); the two paths are cross-validated in the test suite.
     """
     p = params.prime
     w = digits if digits is not None else params.precision
@@ -206,15 +220,16 @@ def p_power_bracket(params: RhoQParams, N: int, digits: int | None = None) -> Pa
     return PadicNumber.from_integer(res, p, w) if res else PadicNumber.bounded_zero(p, w)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def _factorial_cached(params: RhoQParams, n: int, w: int) -> PadicNumber:
-    if n == 0:
-        return PadicNumber.one(params.prime, w)
-    return _factorial_cached(params, n - 1, w) * rhoq_integer(n, params, w)
+    acc = PadicNumber.one(params.prime, w)
+    for j in range(1, n + 1):
+        acc = acc * rhoq_integer(j, params, w)
+    return acc
 
 
 def rhoq_factorial(n: int, params: RhoQParams, digits: int | None = None) -> PadicNumber:
-    """[n]! = [n][n-1]...[1]; memoized (Mahler solves query these repeatedly)."""
+    """[n]! = [1][2]...[n]; memoized (Mahler evaluations query these repeatedly)."""
     if n < 0:
         raise ValueError("factorial defined for n >= 0")
     w = digits if digits is not None else params.precision
@@ -253,6 +268,64 @@ def rhoq_binomial(n: int, k: int, params: RhoQParams, digits: int | None = None)
     return div(num, rhoq_factorial(k, params, w), budget=None)
 
 
+def binomial_triangle(
+    order: int, params: RhoQParams, digits: int | None = None
+) -> list[list[PadicNumber | None]]:
+    """rows[n][k] = rhoq_binomial(n, k, params, digits) for 0 <= k <= n <= order.
+
+    The residues come from the Pascal rule
+    {n choose k} = rho^(n-k) {n-1 choose k-1} + q^k {n-1 choose k}:
+    O(order^2) products mod one power of p, no factorial division.  Each
+    entry is then cut to the precision rhoq_binomial reports, so the two are
+    interchangeable digit for digit: valuation ν_p(n!) - ν_p(k!) - ν_p((n-k)!),
+    unit digits w - head with head = max_{j<k} ν_p(n-j) and
+    w = digits + ν_p(k!) + head (capped at the known parameter digits).  The
+    factorial [k]! loses no more than head: the k consecutive integers
+    n-k+1..n hold a multiple of every p^e <= k.  An entry is None where the
+    cap leaves a factor of the falling product indistinguishable from zero;
+    rhoq_binomial then decides what it is.
+    """
+    p = params.prime
+    target = digits if digits is not None else params.precision
+    vps = [0] + [vp(m, p) for m in range(1, order + 1)]
+    vpf = [0]
+    for m in range(1, order + 1):
+        vpf.append(vpf[-1] + vps[m])
+    # An entry's absolute precision is at most its w: the valuation is the
+    # number of carries in k + (n-k) (Kummer), and the highest carry is <= head.
+    W = target + vpf[order] + max(vps)
+    if params.known_digits is not None:
+        W = min(W, params.known_digits)
+    mod = p**W
+    rho, q = params.rho_residue(W), params.q_residue(W)
+    rho_pow, q_pow = [1], [1]
+    for _ in range(order):
+        rho_pow.append(rho_pow[-1] * rho % mod)
+        q_pow.append(q_pow[-1] * q % mod)
+    one = PadicNumber.one(p, target)
+    rows: list[list[PadicNumber | None]] = []
+    res: list[int] = []  # row n - 1 of the triangle, as residues mod p^W
+    for n in range(order + 1):
+        res = [1] + [
+            (rho_pow[n - k] * res[k - 1] + q_pow[k] * res[k]) % mod for k in range(1, n)
+        ] + ([1] if n else [])
+        row = [one]
+        head = 0
+        for k in range(1, n):
+            head = max(head, vps[n - k + 1])
+            w = target + vpf[k] + head
+            if params.known_digits is not None:
+                w = min(w, params.known_digits)
+            r = w - head
+            if r < 1:  # a factor vanishes at the capped precision
+                row.append(None)
+                continue
+            v = vpf[n] - vpf[k] - vpf[n - k]
+            row.append(PadicNumber(p, v, res[k] // p**v % p**r, r))
+        rows.append(row + ([one] if n else []))
+    return rows
+
+
 def q_number(x: PadicNumber | int, q: PadicNumber) -> PadicNumber:
     """[x]_q = (1 - q^x)/(1 - q); equals x itself in the q -> 1 limit."""
     p = q.prime
@@ -263,14 +336,9 @@ def q_number(x: PadicNumber | int, q: PadicNumber) -> PadicNumber:
             return PadicNumber.from_integer(x, p, q.digits)
         return x
     if isinstance(x, int) and x >= 0:
-        # summation form: 1 + q + ... + q^(x-1)
+        # 1 + q + ... + q^(x-1): the deformed integer at rho = 1
         w = q.digits
-        mod = p**w
-        qr = q.residue(w)
-        acc, term = 0, 1
-        for _ in range(x):
-            acc = (acc + term) % mod
-            term = term * qr % mod
+        acc = _bracket_residue(1, q.residue(w), x, p**w)
         return PadicNumber.from_integer(acc, p, w) if acc else (
             PadicNumber.exact_zero(p) if x == 0 else PadicNumber.bounded_zero(p, w)
         )

@@ -1,7 +1,10 @@
 """Command-line front end: evaluate measures, integrals, expansions, audits.
 
 Exit codes for `audit`: 0 all PASS, 1 any FAIL, 2 any INCONCLUSIVE with no
-FAIL (CI-friendly).  All output is deterministic for a fixed configuration.
+FAIL (CI-friendly).  Every command exits 3 with a one-line message on
+stderr when a library error (a PadicError or a ValueError) escapes, so a
+crash never reads as a FAIL.  All output is deterministic for a fixed
+configuration.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .audit import AUDIT_ALIASES, AUDIT_IDS, AuditConfig, exit_code, report_to_json, run_audits
 from .integration import (
@@ -28,6 +32,10 @@ from .integration import (
 )
 from .mahler import mahler_coefficients
 from .measures import Ball, RhoQHaar, check_invariance, radon_nikodym_derivative
+from .padic import PadicError
+
+#: exit status when a library error escapes a command
+EXIT_ERROR = 3
 
 
 def parse_function(spec: str) -> IntegrableFunction:
@@ -75,7 +83,9 @@ def _add_globals(ap: argparse.ArgumentParser, suppress: bool) -> None:
         ap.add_argument(flag, **kw)
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept (parsing leaves it unchanged)."""
     ap = argparse.ArgumentParser(
         prog="rhoq",
         description="Finite-precision p-adic computations with a two-parameter "
@@ -196,6 +206,14 @@ def _print_csv(payload: dict) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except (PadicError, ValueError) as exc:
+        print("rhoq: error: %s" % exc, file=sys.stderr)
+        return EXIT_ERROR
+
+
+def _run(args: argparse.Namespace) -> int:
     n_min, n_max = _levels(args.levels)
     cfg = AuditConfig(
         p=args.p,

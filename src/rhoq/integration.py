@@ -29,17 +29,6 @@ from .measures import Ball, Distribution
 from .padic import PadicNumber, PrecisionError, div
 from .sequences import ApproximantSequence
 
-#: brackets [p^N] use the definitional summation below this many summands,
-#: and the (test-cross-validated) tower product above it.
-SUMMATION_CAP = 20000
-
-
-def _bracket_of_p_power(params: RhoQParams, N: int, digits: int) -> PadicNumber:
-    if params.prime**N <= SUMMATION_CAP:
-        return rhoq_integer(params.prime**N, params, digits)
-    return p_power_bracket(params, N, digits)
-
-
 # ---------------------------------------------------------------------------
 # integrable functions
 # ---------------------------------------------------------------------------
@@ -492,7 +481,7 @@ def volkenborn_integral(
             else PadicNumber.bounded_zero(p, known)
         )
         scale = PadicNumber(p, 0, pow(params.rho_residue(known), p**N, mod), known)
-        a_n = div(scale * s_p, _bracket_of_p_power(params, N, known))
+        a_n = div(scale * s_p, p_power_bracket(params, N, known))
         terms.append((N, a_n.reduce_abs(d) if a_n.abs_precision > d else a_n))
     return ApproximantSequence.build(p, terms, t, note="integral of %s" % f.describe())
 
@@ -525,7 +514,7 @@ def weighted_measure_sequence(
     known = w - loss - deficiency
     mod = p**known
     outer = div(
-        PadicNumber.one(p, known), _bracket_of_p_power(params, n, known)
+        PadicNumber.one(p, known), p_power_bracket(params, n, known)
     )
     rho_lift = lifted.rho_residue(known)
     terms = []
@@ -537,7 +526,7 @@ def weighted_measure_sequence(
             else PadicNumber.bounded_zero(p, known)
         )
         scale = PadicNumber(p, 0, pow(rho_lift, p**m, mod), known)
-        inner = div(scale * s_p, _bracket_of_p_power(lifted, m, known))
+        inner = div(scale * s_p, p_power_bracket(lifted, m, known))
         terms.append((m, outer * inner))
     return ApproximantSequence.build(
         p, terms, t, note="weighted measure of %s on %s" % (f.describe(), ball)
@@ -570,7 +559,7 @@ def weighted_measure_direct(
     """Ball value by restricted direct sums over x ≡ a (mod p^n), x < p^M.
 
     The independent evaluation path: full-level scale factors rho^(p^M)/[p^M]
-    with the bracket taken by definitional summation; cross-validated against
+    at the unlifted parameters; cross-validated against
     weighted_measure_sequence (same mathematical object, different arithmetic).
     """
     p = params.prime
@@ -592,7 +581,7 @@ def weighted_measure_direct(
             else PadicNumber.bounded_zero(p, known)
         )
         scale = PadicNumber(p, 0, pow(params.rho_residue(known), p**M, mod), known)
-        terms.append((m, div(scale * s_p, _bracket_of_p_power(params, M, known))))
+        terms.append((m, div(scale * s_p, p_power_bracket(params, M, known))))
     return ApproximantSequence.build(
         p, terms, t, note="direct restricted sums of %s on %s" % (f.describe(), ball)
     )

@@ -2,17 +2,18 @@
 
 Coefficients are extracted by forward substitution against the values at
 0..M: the basis matrix {i choose n} is lower-triangular with unit diagonal,
-so the solve is definitionally exact at working precision.  Sup-norms over
-Z_p are approximated by grid maxima at a configurable depth (ultrametric
-continuity makes grid maxima exact for the polynomial-type functions used
-here once the grid is deep enough).
+so the solve is definitionally exact at working precision.  The matrix is
+read off the two-parameter Pascal triangle (`binomial_triangle`).
+Sup-norms over Z_p are approximated by grid maxima at a configurable depth
+(ultrametric continuity makes grid maxima exact for the polynomial-type
+functions used here once the grid is deep enough).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .calculus import RhoQParams, rhoq_binomial, vp_factorial
+from .calculus import RhoQParams, binomial_triangle, rhoq_binomial, vp_factorial
 from .integration import IntegrableFunction, mahler_function
 from .measures import lipschitz_estimate
 from .padic import PadicNumber
@@ -72,6 +73,7 @@ def mahler_coefficients(
     d = digits if digits is not None else params.precision
     w = d + vp_factorial(order, p) + 2
     values = [f.evaluate(i, params, w) for i in range(order + 1)]
+    rows = binomial_triangle(order, params, w)
     coeffs: list[PadicNumber] = []
     for i in range(order + 1):
         acc = values[i]
@@ -79,7 +81,8 @@ def mahler_coefficients(
             c = coeffs[n_idx]
             if c.is_exact_zero:
                 continue
-            acc = acc - c * rhoq_binomial(i, n_idx, params, w)
+            b = rows[i][n_idx]
+            acc = acc - c * (b if b is not None else rhoq_binomial(i, n_idx, params, w))
         coeffs.append(acc)
     basis = "classical" if params.is_classical else "gaussian"
     return MahlerSeries(params, coeffs, basis)

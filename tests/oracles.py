@@ -3,7 +3,9 @@
 Everything here is computed with exact rational arithmetic (Fraction) or
 elementary integer algorithms, straight from the defining formulas, and only
 reduced mod p^k at the very end.  Nothing imports the package's arithmetic,
-so agreement between the two paths is meaningful.
+so agreement between the two paths is meaningful.  The one exception,
+`mahler_forward_substitution`, is the package's earlier Mahler solve; it is
+handed the package's values and binomials and only adds and multiplies them.
 """
 
 from __future__ import annotations
@@ -74,6 +76,16 @@ def bracket_sum(n: int, rho: Fraction, q: Fraction) -> Fraction:
     return sum((rho**i * q ** (n - 1 - i) for i in range(n)), Fraction(0))
 
 
+def bracket_sum_mod(n: int, rho: Fraction, q: Fraction, p: int, k: int) -> int:
+    """[n] = sum rho^i q^(n-1-i), i < n, term by term mod p^k (O(n))."""
+    m = p**k
+    r, s = rat_mod(rho, p, k), rat_mod(q, p, k)
+    acc = 0
+    for i in range(n):
+        acc = (acc + pow(r, i, m) * pow(s, n - 1 - i, m)) % m
+    return acc
+
+
 def gauss_binomial_pascal(n: int, k: int, q: Fraction) -> Fraction:
     """q-binomial via the Pascal-type recurrence {n,k} = q^k {n-1,k} + {n-1,k-1}."""
     if k < 0 or k > n:
@@ -137,4 +149,19 @@ def finite_differences(values: list[Fraction]) -> list[Fraction]:
     for _ in range(len(values)):
         coeffs.append(row[0])
         row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
+    return coeffs
+
+
+def mahler_forward_substitution(values: list, binomial) -> list:
+    """Solve sum_n a_n {i choose n} = values[i] row by row.
+
+    The package's Mahler solve before it read the basis off the Pascal
+    triangle: one `binomial(i, n)` call per nonzero coefficient and entry.
+    """
+    coeffs = []
+    for i, acc in enumerate(values):
+        for n, c in enumerate(coeffs):
+            if not c.is_exact_zero:
+                acc = acc - c * binomial(i, n)
+        coeffs.append(acc)
     return coeffs

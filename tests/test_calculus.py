@@ -11,10 +11,11 @@ from rhoq.calculus import (
     rhoq_integer,
     rhoq_number,
     rhoq_power,
+    vp_factorial,
 )
 from rhoq.padic import DomainError, PadicNumber, padic_from_integer
 
-from .oracles import bracket_sum, gauss_binomial_pascal, rat_mod
+from .oracles import bracket_sum, bracket_sum_mod, gauss_binomial_pascal, rat_mod
 
 
 def params(p=5, rho_k=1, q_k=2, prec=12):
@@ -131,6 +132,51 @@ class TestDeformedInteger:
         pr = RhoQParams.from_offsets(p, 1, 2, 12)
         for N in range(0, 5):
             assert p_power_bracket(pr, N).agrees(rhoq_integer(p**N, pr))
+
+
+class TestBinarySplitting:
+    @settings(max_examples=60)
+    @given(
+        st.integers(min_value=0, max_value=4999),
+        st.sampled_from([3, 5, 7]),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=40),
+        st.booleans(),
+        st.integers(min_value=1, max_value=16),
+    )
+    def test_matches_summation_definition(self, n, p, rho_k, q_k, symmetric, prec):
+        # O(log n) binary splitting against the O(n) sum rho^i q^(n-1-i)
+        rho, q = Fraction(1 + rho_k * p), Fraction(1 + q_k * p, 1 + p)
+        if symmetric:
+            q = rho
+        pr = RhoQParams.from_units(p, rho, q, prec)
+        got = rhoq_integer(n, pr)
+        if n == 0:
+            assert got.is_exact_zero
+        else:
+            assert got.residue(prec) == bracket_sum_mod(n, rho, q, p, prec)
+
+
+class TestMemoTables:
+    def test_factorial_has_no_recursion_cliff(self):
+        pr = RhoQParams.from_offsets(5, 1, 2)
+        f = rhoq_factorial(3000, pr)
+        assert f.valuation == vp_factorial(3000, 5)
+        assert f.digits == 12 - 4  # 5^4 = 625 is the deepest factor
+        assert f.agrees(rhoq_factorial(2999, pr) * rhoq_integer(3000, pr))
+
+    def test_tables_are_bounded(self):
+        from rhoq import calculus
+
+        tables = [
+            calculus._deformed_integer_residue,
+            calculus._p_power_bracket_residue,
+            calculus._factorial_cached,
+        ]
+        assert all(t.cache_info().maxsize == calculus.MEMO_SIZE for t in tables)
+        for k in range(calculus.MEMO_SIZE + 10):
+            rhoq_integer(2, RhoQParams.from_offsets(5, k, 1, 4))
+        assert calculus._deformed_integer_residue.cache_info().currsize == calculus.MEMO_SIZE
 
 
 class TestFactorialBinomial:

@@ -1,0 +1,67 @@
+"""The command line: one parser for every call, and a distinct exit code for
+library errors."""
+
+import io
+import os
+import subprocess
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import rhoq
+from rhoq.cli import EXIT_ERROR, _build_parser, main
+
+DIGITS_RHO = "digits:1,1,0,0,0,0,0,0,0,0,0,0"
+DIGITS_Q = "digits:1,2,0,0,0,0,0,0,0,0,0,0"
+
+
+def in_process(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+def fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(rhoq.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rhoq.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestCachedParser:
+    COMMANDS = [
+        ["mahler", "--function", "[x]", "--order", "5", "--p", "3", "--out", "table"],
+        ["measure", "--ball", "3", "2"],
+        ["integrate", "--function", "x", "--levels", "1:3", "--rho", "0", "--q", "0"],
+    ]
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_back_to_back_equals_fresh_processes(self):
+        # the flags of one call (--p 3, --out table) must not leak into the next
+        back_to_back = [in_process(argv) for argv in self.COMMANDS + self.COMMANDS[:1]]
+        for argv, (code, out) in zip(self.COMMANDS + self.COMMANDS[:1], back_to_back):
+            fresh_code, fresh_out, _ = fresh_process(argv)
+            assert (code, out) == (fresh_code, fresh_out), argv
+
+
+class TestErrorExit:
+    ARGV = ["measure", "--ball", "3", "2", "--rho", DIGITS_RHO, "--q", DIGITS_Q]
+
+    def test_library_error_exits_3(self, capsys):
+        assert main(self.ARGV) == EXIT_ERROR == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "rhoq: error: parameters only known to 12 digits; 14 requested\n"
+
+    def test_value_error_exits_3(self, capsys):
+        assert main(["measure", "--ball", "3", "2", "--levels", "1:x"]) == EXIT_ERROR
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_no_traceback_from_a_fresh_process(self):
+        code, out, err = fresh_process(self.ARGV)
+        assert code == 3 and out == ""
+        assert err.splitlines() == ["rhoq: error: parameters only known to 12 digits; 14 requested"]

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from rhoq.calculus import RhoQParams, rhoq_binomial
+from rhoq.calculus import RhoQParams, binomial_triangle, rhoq_binomial, vp_factorial
 from rhoq.integration import (
     bracket_power,
     const,
@@ -20,7 +20,14 @@ from rhoq.mahler import (
     sup_norm_grid,
     truncation_polynomial,
 )
-from .oracles import finite_differences, rat_mod
+from rhoq.padic import PrecisionError
+
+from .oracles import (
+    finite_differences,
+    gauss_binomial_pascal,
+    mahler_forward_substitution,
+    rat_mod,
+)
 
 
 def params(p=5, rho_k=1, q_k=2, prec=12):
@@ -41,6 +48,104 @@ class TestBasis:
 
         for x in (1, 4, 11):
             assert rhoq_binomial(x, 1, pr).agrees(rhoq_integer(x, pr))
+
+
+def _same(a, b):
+    return (a.val, a.unit, a.digits) == (b.val, b.unit, b.digits)
+
+
+REGIMES = {
+    "deformed": lambda p, prec: RhoQParams.from_offsets(p, 1, 2, prec),
+    "classical": lambda p, prec: RhoQParams.classical(p, prec),
+    "symmetric": lambda p, prec: RhoQParams.from_offsets(p, 3, 3, prec),
+    "rational": lambda p, prec: RhoQParams.from_units(p, Fraction(1 + p, 1 + 2 * p), 1 + p * p, prec),
+}
+
+
+class TestPascalTriangle:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("regime", ["deformed", "classical", "symmetric"])
+    def test_matches_falling_product(self, p, regime):
+        # valuation, unit and digit count of every entry, orders 0..24
+        pr = REGIMES[regime](p, 12)
+        want = [[rhoq_binomial(n, k, pr, 9) for k in range(n + 1)] for n in range(25)]
+        for order in range(25):
+            rows = binomial_triangle(order, pr, 9)
+            assert len(rows) == order + 1
+            for n, row in enumerate(rows):
+                assert len(row) == n + 1
+                assert all(_same(a, b) for a, b in zip(row, want[n])), (order, n)
+
+    @pytest.mark.parametrize("digits", [None, 1, 4, 20])
+    def test_matches_at_every_precision(self, digits):
+        pr = REGIMES["rational"](5, 12)
+        rows = binomial_triangle(24, pr, digits)
+        for n, row in enumerate(rows):
+            for k, entry in enumerate(row):
+                assert _same(entry, rhoq_binomial(n, k, pr, digits))
+
+    def test_capped_parameters(self):
+        # digit-string parameters cap the head-room; an entry whose falling
+        # product has a factor lost at the cap is left to rhoq_binomial
+        for known in (2, 3, 12):
+            pr = RhoQParams.from_residues(3, 4, 7, known)
+            rows = binomial_triangle(30, pr, known + 5)
+            gaps = 0
+            for n, row in enumerate(rows):
+                for k, entry in enumerate(row):
+                    if entry is None:
+                        gaps += 1
+                        continue
+                    assert _same(entry, rhoq_binomial(n, k, pr, known + 5))
+            assert (gaps > 0) == (known <= 3)
+
+    def test_exact_rational_oracle(self):
+        # rho = 1: q-binomials from the one-parameter Pascal recurrence
+        pr = RhoQParams.from_units(7, 1, 8, 10)
+        rows = binomial_triangle(12, pr, 8)
+        for n, row in enumerate(rows):
+            for k, entry in enumerate(row):
+                want = rat_mod(gauss_binomial_pascal(n, k, Fraction(8)), 7, 8)
+                assert entry.residue(8) == want
+
+
+class TestForwardSubstitutionOracle:
+    @pytest.mark.parametrize("regime", ["deformed", "classical", "symmetric", "rational"])
+    @pytest.mark.parametrize(
+        "f",
+        [const(0), const(7), coordinate(), poly_in_x([1, 0, 0, 2]), bracket_power(2),
+         ratio_exponential(), mixed_power(1, 2)],
+        ids=lambda f: f.describe(),
+    )
+    def test_digit_for_digit(self, regime, f):
+        for p, order, prec in ((3, 20, 10), (5, 18, 12), (7, 9, 6)):
+            pr = REGIMES[regime](p, prec)
+            series = mahler_coefficients(f, order, pr)
+            w = prec + vp_factorial(order, p) + 2
+            values = [f.evaluate(i, pr, w) for i in range(order + 1)]
+            want = mahler_forward_substitution(values, lambda i, n: rhoq_binomial(i, n, pr, w))
+            got = [c.digit_string() for c in series.coefficients]
+            assert got == [c.digit_string() for c in want]
+
+    @pytest.mark.parametrize("f", [const(0), poly_in_x([0, 1, 1])], ids=lambda f: f.describe())
+    def test_capped_parameters(self, f):
+        # entries the triangle leaves to rhoq_binomial are used as before:
+        # the same coefficients, or the same error where a factor is lost
+        def outcome(solve):
+            try:
+                return [c.digit_string() for c in solve()]
+            except PrecisionError as exc:
+                return str(exc)
+
+        for known in (3, 4, 12):
+            pr = RhoQParams.from_residues(3, 4, 7, known)
+            w = known + vp_factorial(30, 3) + 2
+            values = [f.evaluate(i, pr, w) for i in range(31)]
+            got = outcome(lambda: mahler_coefficients(f, 30, pr).coefficients)
+            want = outcome(
+                lambda: mahler_forward_substitution(values, lambda i, n: rhoq_binomial(i, n, pr, w))
+            )
+            assert got == want
 
 
 class TestCoefficients:
