@@ -508,14 +508,14 @@ def audit_closed_form(cfg: AuditConfig) -> AuditReport:
         cert_iii: int | float = cert_ii
         outer_top = cfg.outer_max if cfg.outer_max is not None else min(5, cfg.n_max)
         outer = range(1, outer_top + 1)
-        for g in g_battery:
+        for i, g in enumerate(g_battery):
             comp = integral_against_weighted(
                 g, weight, params, outer, weighted=shared, digits=cfg.precision
             )
             if comp.fitted_ratio is not None:
                 g_ratios.append((g.describe(), comp.fitted_ratio))
                 cert_iii = min(cert_iii, comp.ratio_certified)
-                if k == 1 and g.tag == "const":
+                if k == 1 and i == 0:  # g = 1, the head of the battery
                     traces["integral identity (k=1, g=1)"] = comp.describe()
         worst_g = None
         for _, r in g_ratios:

@@ -91,12 +91,16 @@ class RhoQParams:
 
     # -- residues ------------------------------------------------------------
 
-    def _unit_residue(self, base: Fraction, tower: int, w: int) -> int:
+    def require_digits(self, w: int) -> None:
+        """Raise PrecisionError when the parameters are known to fewer than w digits."""
         if self.known_digits is not None and w > self.known_digits:
             raise PrecisionError(
                 "parameters only known to %d digits; %d requested"
                 % (self.known_digits, w)
             )
+
+    def _unit_residue(self, base: Fraction, tower: int, w: int) -> int:
+        self.require_digits(w)
         mod = self.prime**w
         res = base.numerator % mod * pow(base.denominator % mod, -1, mod) % mod
         if tower:

@@ -2,9 +2,9 @@
 
 Exit codes for `audit`: 0 all PASS, 1 any FAIL, 2 any INCONCLUSIVE with no
 FAIL (CI-friendly).  Every command exits 3 with a one-line message on
-stderr when a library error (a PadicError or a ValueError) escapes, so a
-crash never reads as a FAIL.  All output is deterministic for a fixed
-configuration.
+stderr when the invocation is malformed or a library error (a PadicError
+or a ValueError) escapes, so neither reads as a FAIL or an INCONCLUSIVE.
+All output is deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from typing import NoReturn
 
 from .audit import AUDIT_ALIASES, AUDIT_IDS, AuditConfig, exit_code, report_to_json, run_audits
 from .integration import (
@@ -34,8 +35,16 @@ from .mahler import mahler_coefficients
 from .measures import Ball, RhoQHaar, check_invariance, radon_nikodym_derivative
 from .padic import PadicError
 
-#: exit status when a library error escapes a command
+#: exit status of a malformed invocation or a library error
 EXIT_ERROR = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors, like library errors, are one line and exit 3."""
+
+    def error(self, message: str) -> NoReturn:
+        print("rhoq: error: %s" % message, file=sys.stderr)
+        raise SystemExit(EXIT_ERROR)
 
 
 def parse_function(spec: str) -> IntegrableFunction:
@@ -61,7 +70,7 @@ def parse_function(spec: str) -> IntegrableFunction:
     if s.startswith("mixed:"):
         a, n = s.split(":", 1)[1].split(",")
         return mixed_power(int(a), int(n))
-    raise SystemExit("unrecognized function spec %r" % spec)
+    _build_parser().error("unrecognized function spec %r" % spec)
 
 
 _GLOBAL_FLAGS = [
@@ -86,7 +95,7 @@ def _add_globals(ap: argparse.ArgumentParser, suppress: bool) -> None:
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on first use and kept (parsing leaves it unchanged)."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="rhoq",
         description="Finite-precision p-adic computations with a two-parameter "
         "deformed Haar distribution: measures, integrals, expansions, audits.",
@@ -239,7 +248,7 @@ def _run(args: argparse.Namespace) -> int:
             _emit({"invariance": report.describe()}, args.out)
             return 0
         if not args.ball:
-            raise SystemExit("measure needs --ball A N (or --invariance)")
+            _build_parser().error("measure needs --ball A N (or --invariance)")
         a, n = args.ball
         ball = Ball(cfg.p, a, n)
         value = dist.value(ball)

@@ -3,22 +3,26 @@
 Every integral is returned as an ApproximantSequence: the objects of
 interest are limits, and auditing them needs the rates, not just a value.
 
-The level sums run on plain integer residues mod p^w with O(1) incremental
-updates per point (running rho^x, q^x, [x] via the splitting identity
-[x+s] = q^s [x] + rho^x [s], running weights).  One engine serves the plain
-integral (shift=0, step=1), the restricted direct sums (shift=a, step=p^n),
-and the lifted-parameter inner integrals of the restriction identity, which
-keeps the two weighted-measure evaluation paths genuinely comparable.
+Every integrand but a pointwise one is an exponential polynomial: with
+[x] = (rho^x - q^x)/(rho - q), or x q^(x-1) at rho = q, `lower` writes it
+once as p^-v sum P_b(x) b^x with residue coefficients, and the level sums
+run one loop over its bases.  That loop serves the plain integral (shift=0,
+step=1), the restricted direct sums (shift=a, step=p^n), and the
+lifted-parameter inner integrals of the restriction identity, which keeps
+the two weighted-measure evaluation paths genuinely comparable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .calculus import (
+    MEMO_SIZE,
     RhoQParams,
+    _bracket_residue,
     p_power_bracket,
     rhoq_binomial,
     rhoq_integer,
@@ -26,7 +30,7 @@ from .calculus import (
     vp_factorial,
 )
 from .measures import Ball, Distribution
-from .padic import PadicNumber, PrecisionError, div
+from .padic import PadicNumber, PrecisionError, div, vp
 from .sequences import ApproximantSequence
 
 # ---------------------------------------------------------------------------
@@ -64,7 +68,7 @@ class IntegrableFunction:
     def describe(self) -> str:
         return self.label or self.tag
 
-    # -- direct pointwise evaluation (the contract; the engine is the fast path)
+    # -- direct pointwise evaluation (the definition; level sums go through lower)
 
     def evaluate(self, x: int, params: RhoQParams, digits: int) -> PadicNumber:
         p = params.prime
@@ -82,7 +86,11 @@ class IntegrableFunction:
                 power = power * bx
             return acc
         if self.tag == "exponential":
-            return rhoq_power(self._exp_base(params, digits), x, digits)
+            if self.use_ratio_base:
+                base = PadicNumber(p, 0, params.ratio_residue(digits), digits)
+            else:
+                base = PadicNumber.from_fraction(self.base, p, digits)
+            return rhoq_power(base, x, digits)
         if self.tag == "mixed":
             rho = PadicNumber(p, 0, params.rho_residue(digits), digits)
             return rhoq_power(rho, self.a * x, digits) * rhoq_integer(x, params, digits) ** self.n
@@ -105,12 +113,6 @@ class IntegrableFunction:
         if self.tag == "pointwise":
             return self.fn(x)
         raise ValueError("unknown tag %r" % self.tag)
-
-    def _exp_base(self, params: RhoQParams, digits: int) -> PadicNumber:
-        p = params.prime
-        if self.use_ratio_base:
-            return PadicNumber(p, 0, params.ratio_residue(digits), digits)
-        return PadicNumber.from_fraction(self.base, p, digits)
 
     def loss_bound(self, params: RhoQParams) -> int:
         """Digits an evaluation may cost (Gaussian-binomial denominators)."""
@@ -184,7 +186,7 @@ def product(*fs: IntegrableFunction) -> IntegrableFunction:
 
 
 def linear_combination(coeffs: Sequence, fs: Sequence[IntegrableFunction]) -> IntegrableFunction:
-    """sum of c_i * f_i(x); rides the running engine state of every part."""
+    """sum of c_i * f_i(x); lowers to the sum of the parts' normal forms."""
     if len(coeffs) != len(fs):
         raise ValueError("one coefficient per part")
     label = " + ".join("%s*(%s)" % (c, f.describe()) for c, f in zip(coeffs, fs))
@@ -192,159 +194,162 @@ def linear_combination(coeffs: Sequence, fs: Sequence[IntegrableFunction]) -> In
 
 
 # ---------------------------------------------------------------------------
-# the progression-sum engine
+# the normal form and the progression sums
 # ---------------------------------------------------------------------------
 
 
-class _Running:
-    """Residues of f(x) at x = shift, shift+step, ... with O(1) advancement."""
+@dataclass(frozen=True)
+class NormalForm:
+    """f(x) = p^-v * sum over terms (b, P_b) of P_b(x) b^x, residues mod p^W,
+    each P_b highest degree first; coefficients known to fewer than w
+    digits take `deficiency` digits off every sum.  `ratio` is q/rho mod
+    p^W, the base of the integration weight."""
 
-    def __init__(self, f: IntegrableFunction, params: RhoQParams, w: int, shift: int, step: int):
-        self.f = f
-        self.params = params
-        self.p = params.prime
-        self.mod = self.p**w
-        self.w = w
-        self.shift = shift
-        self.step = step
-        self.deficiency = 0  # digits the inputs fell short of w (kept honest)
-        tag = f.tag
-        if tag in ("poly_bracket", "mahler", "poly_x") and f.coeffs:
-            for c in f.coeffs:
-                if isinstance(c, PadicNumber) and not c.is_exact_zero:
-                    self.deficiency = max(self.deficiency, w - int(c.abs_precision))
-        self.deficiency = max(self.deficiency, 0)
-        if tag in ("poly_bracket", "mixed", "mahler"):
-            from .calculus import _deformed_integer_residue
+    v: int
+    W: int
+    terms: tuple[tuple[int, tuple[int, ...]], ...]
+    deficiency: int
+    ratio: int
 
-            self.bracket = _deformed_integer_residue(params, shift, w) if shift else 0
-            self.rho_pow = pow(params.rho_residue(w), shift, self.mod)
-            self.q_step = pow(params.q_residue(w), step, self.mod)
-            self.rho_step = pow(params.rho_residue(w), step, self.mod)
-            self.bracket_step = _deformed_integer_residue(params, step, w)
-        if tag == "mahler":
-            self.q_pow = pow(params.q_residue(w), shift, self.mod)
-            self.q_step_only = pow(params.q_residue(w), step, self.mod)
-            self._mahler_tables()
-        if tag == "exponential":
-            b = f._exp_base(params, w).residue(w)
-            self.exp_pow = pow(b, shift, self.mod)
-            self.exp_step = pow(b, step, self.mod)
-        if tag == "mixed":
-            b = pow(params.rho_residue(w), f.a, self.mod)
-            self.exp_pow = pow(b, shift, self.mod)
-            self.exp_step = pow(b, step, self.mod)
-        if tag == "poly_x":
-            self.x_res = shift % self.mod
-        if tag == "const":
-            self.const_res = _as_padic(f.coeffs[0], self.p, w).residue(w)
-        if tag in ("poly_x", "poly_bracket", "mahler"):
-            self.coeff_res = tuple(
-                _coeff_residue(c, self.p, w) for c in f.coeffs
-            )
-        if tag in ("product", "sum"):
-            self.subs = [_Running(part, params, w, shift, step) for part in f.parts]
-        if tag == "sum":
-            self.sum_coeffs = tuple(_coeff_residue(c, self.p, w) for c in f.coeffs)
+
+def _nf_add(a: tuple, b: tuple, p: int, mod: int, c: int = 1, dv: int = 0) -> tuple:
+    """p^-va A + c p^-(vb + dv) B, over the larger v."""
+    vb = b[0] + dv
+    v = max(a[0], vb)
+    out: dict[int, list[int]] = {}
+    for s, terms in ((p ** (v - a[0]), a[1]), (c * p ** (v - vb), b[1])):
+        for base, poly in terms.items():
+            acc = out.setdefault(base, [])
+            acc += [0] * (len(poly) - len(acc))
+            for k, x in enumerate(poly):
+                acc[k] = (acc[k] + s * x) % mod
+    return v, out
+
+
+def _nf_mul(a: tuple, b: tuple, mod: int) -> tuple:
+    out: dict[int, list[int]] = {}
+    for ba, pa in a[1].items():
+        for bb, pb in b[1].items():
+            acc = out.setdefault(ba * bb % mod, [])
+            acc += [0] * (len(pa) + len(pb) - 1 - len(acc))
+            for i, x in enumerate(pa):
+                for j, y in enumerate(pb):
+                    acc[i + j] = (acc[i + j] + x * y) % mod
+    return a[0] + b[0], out
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def lower(f: IntegrableFunction, params: RhoQParams, w: int) -> NormalForm | None:
+    """f as an exponential polynomial, for sums sound to w digits; None when
+    f has a pointwise part.
+
+    [x] = (rho^x - q^x)/(rho - q), or x q^(x-1) at rho = q, and a Gaussian
+    binomial {x choose m} is prod_{j<m} [x - j] / [m]!.  Each [x] costs
+    ν(rho - q) guard digits and each [m]! ν_p(m!); the guard digits cancel
+    exactly, so digit-string parameters are checked at w only.  Errors are
+    raised part by part, in the order of the parts.
+    """
+    p = params.prime
+    # ν(a^(p^t) - b^(p^t)) = ν(a - b) + t on 1 + pZ_p: only the tower gap is raised
+    t0 = min(params.rho_tower, params.q_tower)
+    diff = (params.rho_base ** p ** (params.rho_tower - t0)
+            - params.q_base ** p ** (params.q_tower - t0))
+    nu = vp(diff.numerator, p) + t0 if diff else None
+
+    def guard(g: IntegrableFunction) -> int:
+        if g.tag in ("poly_bracket", "mixed", "mahler"):
+            loss = vp_factorial(g.degree, p) if g.tag == "mahler" else 0
+            return max(g.degree, 0) * (nu or 0) + loss
+        parts = [guard(part) for part in g.parts]
+        return sum(parts) if g.tag == "product" else max(parts, default=0)
+
+    W = w + guard(f)
+    mod = p**W
+    exact = replace(params, known_digits=None)
+    rho, q = exact.rho_residue(W), exact.q_residue(W)
+    ratio = q * pow(rho, -1, mod) % mod
+    if nu is not None:  # rho - q = p^nu u
+        u_inv = pow((exact.rho_residue(W + nu) - exact.q_residue(W + nu)) // p**nu, -1, mod)
+    deficiency = 0
+
+    def coeff(c) -> int:
+        nonlocal deficiency
+        if isinstance(c, PadicNumber):
+            if not c.is_exact_zero:
+                deficiency = max(deficiency, w - int(c.abs_precision))
+            return capped_residue(c, W)
+        return PadicNumber.from_fraction(Fraction(c), p, W).residue(W)
+
+    def shifted_bracket(j: int) -> tuple:
+        """[x - j] = (rho^-j rho^x - q^-j q^x)/(rho - q), or (x - j) q^(x-j-1)."""
+        if nu is None:
+            c = pow(q, -j - 1, mod)
+            return 0, {q: [-j * c % mod, c]}
+        return nu, {rho: [pow(rho, -j, mod) * u_inv % mod], q: [-pow(q, -j, mod) * u_inv % mod]}
+
+    def factorial_inverse(m: int) -> int:
+        """([m]! / p^v)^-1 mod p^W, v = ν_p(m!) = ν_p([m]!)."""
+        v = vp_factorial(m, p)
+        n = p ** (W + v)
+        r, s = exact.rho_residue(W + v), exact.q_residue(W + v)
+        acc = 1
+        for j in range(1, m + 1):
+            acc = acc * _bracket_residue(r, s, j, n) % n
+        return pow(acc // p**v, -1, mod)
+
+    one, zero = (0, {1: [1]}), (0, {})
+
+    def build(g: IntegrableFunction) -> tuple | None:
+        tag = g.tag
         if tag == "pointwise":
-            self.x_int = shift
-
-    def _mahler_tables(self) -> None:
-        from .calculus import _deformed_integer_residue
-
-        p, w, mod = self.p, self.w, self.mod
-        deg = self.f.degree
-        params = self.params
-        self.j_bracket = [_deformed_integer_residue(params, j, w) for j in range(deg)]
-        qinv = pow(params.q_residue(w), -1, mod)
-        rinv = pow(params.rho_residue(w), -1, mod)
-        self.qinv_pow = [pow(qinv, j, mod) for j in range(deg)]
-        self.rinv_pow = [pow(rinv, j, mod) for j in range(deg)]
-        self.fact_val = []
-        self.fact_inv_unit = []
-        for m in range(deg + 1):
-            v = vp_factorial(m, p)
-            res = 1
-            for j in range(1, m + 1):
-                res = res * _deformed_integer_residue(params, j, w) % mod
-            unit = res // p**v
-            self.fact_val.append(v)
-            self.fact_inv_unit.append(pow(unit, -1, p ** (w - v)))
-
-    def value(self) -> int:
-        f, mod = self.f, self.mod
-        tag = f.tag
+            return None
+        if tag in ("product", "sum"):
+            parts = [build(part) for part in g.parts]
+            weights = [coeff(c) for c in g.coeffs] if tag == "sum" else []
+            if any(part is None for part in parts):
+                return None
+            if tag == "sum":
+                acc = zero
+                for c, part in zip(weights, parts):
+                    acc = _nf_add(acc, part, p, mod, c)
+            else:
+                acc = one
+                for part in parts:
+                    acc = _nf_mul(acc, part, mod)
+            return acc
         if tag == "const":
-            return self.const_res
+            return 0, {1: [coeff(g.coeffs[0])]}
         if tag == "poly_x":
-            acc = 0
-            for c in reversed(self.coeff_res):
-                acc = (acc * self.x_res + c) % mod
-            return acc
-        if tag == "poly_bracket":
-            acc = 0
-            for c in reversed(self.coeff_res):
-                acc = (acc * self.bracket + c) % mod
-            return acc
+            return 0, {1: [coeff(c) for c in g.coeffs]}
+        if tag == "exponential" and not g.use_ratio_base:
+            return 0, {coeff(g.base): [1]}
+        params.require_digits(w)  # the families below read rho and q
         if tag == "exponential":
-            return self.exp_pow
-        if tag == "mixed":
-            return self.exp_pow * pow(self.bracket, f.n, mod) % mod
-        if tag == "mahler":
-            return self._mahler_value()
-        if tag == "product":
-            acc = 1
-            for s in self.subs:
-                acc = acc * s.value() % mod
-            self.deficiency = max(self.deficiency, max(s.deficiency for s in self.subs))
-            return acc
-        if tag == "sum":
-            acc = 0
-            for c, s in zip(self.sum_coeffs, self.subs):
-                acc = (acc + c * s.value()) % mod
-            self.deficiency = max(self.deficiency, max(s.deficiency for s in self.subs))
-            return acc
-        value = f.fn(self.x_int)
-        if not value.is_exact_zero:
-            self.deficiency = max(self.deficiency, self.w - int(value.abs_precision), 0)
-        return capped_residue(value, self.w) % self.mod
-
-    def _mahler_value(self) -> int:
-        p, mod = self.p, self.mod
-        acc = 0
-        prod = 1
-        for m, c in enumerate(self.coeff_res):
-            if m:
-                j = m - 1
-                shifted = (self.bracket - self.q_pow * self.qinv_pow[j] % mod * self.j_bracket[j]) % mod
-                prod = prod * (shifted * self.rinv_pow[j] % mod) % mod
-            v = self.fact_val[m]
-            binom = prod // p**v * self.fact_inv_unit[m] % (mod // p**v) if m else 1
-            acc = (acc + c * binom) % mod
+            return 0, {ratio: [1]}
+        acc, power = zero, one
+        if tag == "poly_bracket":
+            for c in g.coeffs:
+                acc = _nf_add(acc, power, p, mod, coeff(c))
+                power = _nf_mul(power, shifted_bracket(0), mod)
+        elif tag == "mixed":
+            acc = (0, {pow(rho, g.a, mod): [1]})
+            for _ in range(g.n):
+                acc = _nf_mul(acc, shifted_bracket(0), mod)
+        elif tag == "mahler":  # power: the falling product of [x - j], j < m
+            for m, c in enumerate(g.coeffs):
+                power = _nf_mul(power, shifted_bracket(m - 1), mod) if m else power
+                c = coeff(c)
+                if c:
+                    acc = _nf_add(acc, power, p, mod, c * factorial_inverse(m), vp_factorial(m, p))
+        else:
+            raise ValueError("unknown tag %r" % tag)
         return acc
 
-    def advance(self) -> None:
-        tag = self.f.tag
-        if tag in ("poly_bracket", "mixed", "mahler"):
-            self.bracket = (self.q_step * self.bracket + self.rho_pow * self.bracket_step) % self.mod
-            self.rho_pow = self.rho_pow * self.rho_step % self.mod
-        if tag == "mahler":
-            self.q_pow = self.q_pow * self.q_step_only % self.mod
-        if tag in ("exponential", "mixed"):
-            self.exp_pow = self.exp_pow * self.exp_step % self.mod
-        if tag == "poly_x":
-            self.x_res = (self.x_res + self.step) % self.mod
-        if tag in ("product", "sum"):
-            for s in self.subs:
-                s.advance()
-        if tag == "pointwise":
-            self.x_int += self.step
-
-
-def _coeff_residue(c, p: int, w: int) -> int:
-    if isinstance(c, PadicNumber):
-        return capped_residue(c, w)
-    return PadicNumber.from_fraction(Fraction(c), p, w).residue(w)
+    nf = build(f)
+    if nf is None:
+        return None
+    terms = tuple((base, tuple(reversed(poly))) for base, poly in nf[1].items() if any(poly))
+    return NormalForm(nf[0], W, terms, max(deficiency, 0), ratio)
 
 
 def progression_sums(
@@ -361,90 +366,62 @@ def progression_sums(
     Returns (sums, deficiency): the sums are sound mod p^(w - deficiency),
     where the deficiency accounts for inputs known to fewer than w digits.
 
-    The common families run specialized locals-only loops (this is the hot
-    path of every integral); mahler/product/pointwise go through the generic
-    running evaluator, which the specializations are tested against.
+    f is lowered once (memoized) to p^-v sum P_b(x) b^x.  The weight folds
+    into every base, each base runs its powers b^(shift + step y) once (with
+    Horner in x when P_b has degree > 0), the level ends record the partial
+    sums, and the total is divided by p^v exactly.  An f with a pointwise
+    part is summed point by point through evaluate.
     """
     p = params.prime
-    mod = p**w
-    ev = _Running(f, params, w, shift, step)
-    t = params.ratio_residue(w)
-    wt = pow(t, shift, mod)
-    wts = pow(t, step, mod)
     ends = [p**m for m in range(max_level + 1)]
-    out = [0] * (max_level + 1)
-    acc = 0
-    y = 0
-    tag = f.tag
+    nf = lower(f, params, w)
+    params.require_digits(w)
+    if nf is None:
+        return _evaluated_sums(f, params, ends, shift, step, w)
+    mod = p**nf.W
+    out = [0] * len(ends)
+    for base, coeffs in nf.terms:
+        b = base * nf.ratio % mod
+        e, e_step = pow(b, shift, mod), pow(b, step, mod)
+        scale = coeffs[0] if len(coeffs) == 1 else 1
+        acc = y = 0
+        for m, end in enumerate(ends):
+            if len(coeffs) == 1:
+                for _ in range(y, end):
+                    acc += e
+                    e = e * e_step % mod
+            else:
+                for x in range(shift + step * y, shift + step * end, step):
+                    v = 0
+                    for c in coeffs:
+                        v = (v * x + c) % mod
+                    acc += v * e
+                    e = e * e_step % mod
+            acc %= mod
+            out[m] += scale * acc
+            y = end
+    return [s % mod // p**nf.v % p**w for s in out], nf.deficiency
 
-    if tag == "const":
-        c = ev.const_res
-        for m, end in enumerate(ends):
-            for _ in range(y, end):
-                acc = (acc + c * wt) % mod
-                wt = wt * wts % mod
-            y = end
-            out[m] = acc
-    elif tag == "exponential":
-        e_pow, e_step = ev.exp_pow, ev.exp_step
-        for m, end in enumerate(ends):
-            for _ in range(y, end):
-                acc = (acc + e_pow * wt) % mod
-                e_pow = e_pow * e_step % mod
-                wt = wt * wts % mod
-            y = end
-            out[m] = acc
-    elif tag == "poly_x":
-        coeffs = tuple(reversed(ev.coeff_res))
-        x_res = ev.x_res
-        for m, end in enumerate(ends):
-            for _ in range(y, end):
-                v = 0
-                for c in coeffs:
-                    v = (v * x_res + c) % mod
-                acc = (acc + v * wt) % mod
-                x_res = (x_res + step) % mod
-                wt = wt * wts % mod
-            y = end
-            out[m] = acc
-    elif tag == "poly_bracket":
-        coeffs = tuple(reversed(ev.coeff_res))
-        b, r = ev.bracket, ev.rho_pow
-        qs, rs, bs = ev.q_step, ev.rho_step, ev.bracket_step
-        for m, end in enumerate(ends):
-            for _ in range(y, end):
-                v = 0
-                for c in coeffs:
-                    v = (v * b + c) % mod
-                acc = (acc + v * wt) % mod
-                b = (qs * b + r * bs) % mod
-                r = r * rs % mod
-                wt = wt * wts % mod
-            y = end
-            out[m] = acc
-    elif tag == "mixed":
-        npow = f.n
-        e_pow, e_step = ev.exp_pow, ev.exp_step
-        b, r = ev.bracket, ev.rho_pow
-        qs, rs, bs = ev.q_step, ev.rho_step, ev.bracket_step
-        for m, end in enumerate(ends):
-            for _ in range(y, end):
-                acc = (acc + e_pow * pow(b, npow, mod) * wt) % mod
-                e_pow = e_pow * e_step % mod
-                b = (qs * b + r * bs) % mod
-                r = r * rs % mod
-                wt = wt * wts % mod
-            y = end
-            out[m] = acc
-    else:
-        for m, end in enumerate(ends):
-            for _ in range(y, end):
-                acc = (acc + ev.value() * wt) % mod
-                wt = wt * wts % mod
-                ev.advance()
-            y = end
-            out[m] = acc
-    return out, ev.deficiency
+
+def _evaluated_sums(
+    f: IntegrableFunction, params: RhoQParams, ends: list[int], shift: int, step: int, w: int
+) -> tuple[list[int], int]:
+    """progression_sums point by point through f.evaluate."""
+    mod = params.prime**w
+    t = params.ratio_residue(w)
+    wt, wt_step = pow(t, shift, mod), pow(t, step, mod)
+    out, acc, deficiency, x, y = [], 0, 0, shift, 0
+    for end in ends:
+        for _ in range(y, end):
+            value = f.evaluate(x, params, w)
+            if not value.is_exact_zero:
+                deficiency = max(deficiency, w - int(value.abs_precision))
+            acc = (acc + capped_residue(value, w) * wt) % mod
+            wt = wt * wt_step % mod
+            x += step
+        y = end
+        out.append(acc)
+    return out, deficiency
 
 
 # ---------------------------------------------------------------------------

@@ -165,3 +165,29 @@ def mahler_forward_substitution(values: list, binomial) -> list:
                 acc = acc - c * binomial(i, n)
         coeffs.append(acc)
     return coeffs
+
+
+def rhoq_binomial_exact(n: int, k: int, rho: Fraction, q: Fraction) -> Fraction:
+    """{n choose k} = prod_{j<k} [n-j] / [k]!, zero for k > n, from the exact brackets."""
+    if k < 0 or k > n:
+        return Fraction(0)
+    num = den = Fraction(1)
+    for j in range(k):
+        num *= bracket(n - j, rho, q)
+        den *= bracket(j + 1, rho, q)
+    return num / den
+
+
+def progression_partial_sums(
+    f, rho: Fraction, q: Fraction, shift: int, step: int, ends: list[int]
+) -> list[Fraction]:
+    """sum_{y<end} f(x) (q/rho)^x, x = shift + step y, for each end, exactly."""
+    t = Fraction(q) / Fraction(rho)
+    out, acc, start = [], Fraction(0), 0
+    for end in ends:
+        for y in range(start, end):
+            x = shift + step * y
+            acc += f(x) * t**x
+        start = end
+        out.append(acc)
+    return out

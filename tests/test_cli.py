@@ -8,6 +8,8 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 import rhoq
 from rhoq.cli import EXIT_ERROR, _build_parser, main
 
@@ -65,3 +67,32 @@ class TestErrorExit:
         code, out, err = fresh_process(self.ARGV)
         assert code == 3 and out == ""
         assert err.splitlines() == ["rhoq: error: parameters only known to 12 digits; 14 requested"]
+
+
+class TestMalformedInvocation:
+    """A malformed invocation exits 3 with one `rhoq: error:` line, like a
+    library error, never 1 (FAIL) or 2 (INCONCLUSIVE)."""
+
+    CASES = {
+        "audit": ["audit", "bogus"],
+        "unknown-command": ["frobnicate"],
+        "integrate": ["integrate", "--function", "tan"],
+        "measure": ["measure"],
+        "mahler": ["mahler", "--function", "tan"],
+        "bernoulli": ["bernoulli", "--a", "1"],
+        "rn-deriv": ["rn-deriv", "--x", "3", "--weight", "tan"],
+    }
+
+    @pytest.mark.parametrize("argv", CASES.values(), ids=CASES.keys())
+    def test_exits_3_with_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("rhoq: error: ")
+
+    def test_fresh_process(self):
+        code, out, err = fresh_process(["audit", "bogus"])
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("rhoq: error: argument selector")

@@ -1,0 +1,99 @@
+"""progression_sums against exact Fraction sums, over random primes,
+parameters (classical, rho = q != 1, nu(rho - q) up to 4), progressions and
+integrand families, Mahler series with coefficients known to few digits
+included."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from rhoq.calculus import RhoQParams
+from rhoq.integration import (
+    bracket_power,
+    const,
+    exponential,
+    linear_combination,
+    mahler_function,
+    mixed_power,
+    poly_in_x,
+    product,
+    progression_sums,
+    ratio_exponential,
+)
+from rhoq.padic import PadicNumber
+
+from .oracles import bracket, progression_partial_sums, rat_mod, rhoq_binomial_exact
+
+
+@st.composite
+def parameters(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    regime = draw(st.sampled_from(["classical", "symmetric", "deformed"]))
+    if regime == "classical":
+        return p, Fraction(1), Fraction(1)
+    rho = Fraction(1 + p * draw(st.integers(1, 40)), draw(st.sampled_from([1, 1 + p, 1 - p])))
+    if regime == "symmetric":
+        return p, rho, rho
+    nu = draw(st.integers(1, 4))
+    unit = draw(st.integers(1, 60).filter(lambda u: u % p))
+    return p, rho, rho + p**nu * unit
+
+
+@st.composite
+def integrands(draw, p, rho, q, w):
+    """(f, its exact values, the deficiency the sums must report)."""
+    kind = draw(st.sampled_from(
+        ["const", "x^k", "[x]^k", "ratio", "exp", "mixed", "mahler", "x^2*[x]^3", "sum"]
+    ))
+    if kind == "const":
+        c = Fraction(draw(st.integers(-50, 50)), draw(st.sampled_from([1, 2, 1 + p])))
+        return const(c), lambda x: c, 0
+    if kind == "x^k":
+        k = draw(st.integers(0, 4))
+        return poly_in_x([0] * k + [1]), lambda x: Fraction(x) ** k, 0
+    if kind == "[x]^k":
+        k = draw(st.integers(0, 3))
+        return bracket_power(k), lambda x: bracket(x, rho, q) ** k, 0
+    if kind == "ratio":
+        return ratio_exponential(), lambda x: (q / rho) ** x, 0
+    if kind == "exp":
+        b = Fraction(1 + p * draw(st.integers(-20, 20)))
+        return exponential(b), lambda x: b**x, 0
+    if kind == "mixed":
+        a, n = draw(st.integers(-2, 2)), draw(st.integers(0, 3))
+        return mixed_power(a, n), lambda x: rho ** (a * x) * bracket(x, rho, q) ** n, 0
+    if kind == "mahler":
+        known = draw(st.lists(st.integers(1, w + 3), min_size=1, max_size=5))
+        values = [draw(st.integers(0, p ** (w + 3))) for _ in known]
+        coeffs = [PadicNumber.from_integer(c, p, k) for c, k in zip(values, known)]
+        residues = [c % p**k for c, k in zip(values, known)]  # what each coefficient knows
+        deficiency = max([w - k for c, k in zip(values, known) if c] + [0])
+
+        def value(x):
+            terms = (r * rhoq_binomial_exact(x, m, rho, q) for m, r in enumerate(residues))
+            return sum(terms, Fraction(0))
+
+        return mahler_function(coeffs), value, deficiency
+    if kind == "x^2*[x]^3":
+        f = product(poly_in_x([0, 0, 1]), bracket_power(3))
+        return f, lambda x: x**2 * bracket(x, rho, q) ** 3, 0
+    c1, c2 = draw(st.integers(-9, 9)), Fraction(draw(st.integers(-9, 9)), 2)
+    f = linear_combination([c1, c2], [poly_in_x([0, 1]), bracket_power(2)])
+    return f, lambda x: c1 * x + c2 * bracket(x, rho, q) ** 2, 0
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_progression_sums_match_exact_sums(data):
+    p, rho, q = data.draw(parameters())
+    w = data.draw(st.integers(2, 14))
+    f, values, deficiency = data.draw(integrands(p, rho, q, w))
+    levels = data.draw(st.integers(0, 2))
+    n = data.draw(st.integers(0, 2 if levels < 2 else 1))
+    shift = data.draw(st.integers(0, p**2))
+    params = RhoQParams.from_units(p, rho, q, w)
+    sums, reported = progression_sums(f, params, levels, shift, p**n, w)
+    assert reported == deficiency
+    exact = progression_partial_sums(values, rho, q, shift, p**n, [p**m for m in range(levels + 1)])
+    k = w - deficiency
+    assert [s % p**k for s in sums] == [rat_mod(e, p, k) for e in exact]
