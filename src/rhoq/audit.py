@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, inf
+from typing import Iterable
 
 from .calculus import RhoQParams, rhoq_integer, rhoq_power
 from .integration import (
@@ -166,6 +167,12 @@ class CheckRecord:
         }
 
 
+def _worst_verdict(verdicts: Iterable[str]) -> str:
+    """FAIL over INCONCLUSIVE over PASS; MEASURED records carry no verdict."""
+    verdicts = set(verdicts)
+    return next((v for v in ("FAIL", "INCONCLUSIVE") if v in verdicts), "PASS")
+
+
 @dataclass
 class AuditReport:
     theorem: str
@@ -176,12 +183,7 @@ class AuditReport:
 
     @property
     def verdict(self) -> str:
-        verdicts = {c.verdict for c in self.checks if c.verdict != "MEASURED"}
-        if "FAIL" in verdicts:
-            return "FAIL"
-        if "INCONCLUSIVE" in verdicts:
-            return "INCONCLUSIVE"
-        return "PASS"
+        return _worst_verdict(c.verdict for c in self.checks)
 
     def describe(self) -> dict:
         return {
@@ -322,11 +324,11 @@ def audit_weighted_measure(cfg: AuditConfig) -> AuditReport:
         rg = weighted_measure_sequence(g, params, ball, inner, digits=cfg.precision)
         a_p = PadicNumber.from_integer(alpha, p, hi)
         b_p = PadicNumber.from_integer(beta, p, hi)
-        worst = None
-        for (_, tc), (_, tf), (_, tg) in zip(lhs.terms, rf.terms, rg.terms):
-            d = tc - (a_p * tf + b_p * tg)
-            if worst is None or gap_exponent(d) < gap_exponent(worst):
-                worst = d
+        worst = min(
+            (tc - (a_p * tf + b_p * tg)
+             for (_, tc), (_, tf), (_, tg) in zip(lhs.terms, rf.terms, rg.terms)),
+            key=gap_exponent,
+        )
         checks.append(
             _agreement_check(
                 "linearity trial %d (alpha=%d, beta=%d, %s)" % (trial, alpha, beta, ball),
@@ -376,12 +378,9 @@ def audit_weighted_measure(cfg: AuditConfig) -> AuditReport:
                 "lifted": lifted.describe(),
                 "direct": direct.describe(),
             }
-        worst = None
-        for (_, t1), (_, t2) in zip(lifted.terms, direct.terms):
-            d = t1 - t2
-            if worst is None or gap_exponent(d) < gap_exponent(worst):
-                worst = d
-        avail = min(int(t1.abs_precision), int(t2.abs_precision))
+        pairs = [(t1, t2) for (_, t1), (_, t2) in zip(lifted.terms, direct.terms)]
+        worst = min((t1 - t2 for t1, t2 in pairs), key=gap_exponent)
+        avail = min(int(t.abs_precision) for t in pairs[-1])
         checks.append(
             _agreement_check(
                 "path cross-validation (%s on %s)" % (fx.describe(), ball),
@@ -462,11 +461,7 @@ def audit_closed_form(cfg: AuditConfig) -> AuditReport:
                 ratios.append((x, div(numerator, denom, budget=None)))
             except PrecisionError:
                 continue
-        worst = None
-        for _, r in ratios[1:]:
-            d = r - ratios[0][1]
-            if worst is None or gap_exponent(d) < gap_exponent(worst):
-                worst = d
+        worst = min((r - ratios[0][1] for _, r in ratios[1:]), key=gap_exponent)
         avail = min(int(r.abs_precision) for _, r in ratios)
         checks.append(
             _agreement_check(
@@ -517,11 +512,7 @@ def audit_closed_form(cfg: AuditConfig) -> AuditReport:
                 cert_iii = min(cert_iii, comp.ratio_certified)
                 if k == 1 and i == 0:  # g = 1, the head of the battery
                     traces["integral identity (k=1, g=1)"] = comp.describe()
-        worst_g = None
-        for _, r in g_ratios:
-            d = r - ratios[0][1]
-            if worst_g is None or gap_exponent(d) < gap_exponent(worst_g):
-                worst_g = d
+        worst_g = min((r - ratios[0][1] for _, r in g_ratios), key=gap_exponent)
         avail_g = min(int(r.abs_precision) for _, r in g_ratios)
         measured_e = gap_exponent(worst_g)
         checks.append(
@@ -538,14 +529,13 @@ def audit_closed_form(cfg: AuditConfig) -> AuditReport:
         )
 
         # (iv) splitting-identity expansion, term by term
-        worst_split = None
+        splits = []
         for _ in range(4):
             n = rng.randint(1, min(3, cfg.n_max))
             a = rng.randrange(p**n)
             i = rng.randint(0, p**2)
-            d_split = _splitting_difference(a, i, n, k, params, cfg.precision + 4)
-            if worst_split is None or gap_exponent(d_split) < gap_exponent(worst_split):
-                worst_split = d_split
+            splits.append(_splitting_difference(a, i, n, k, params, cfg.precision + 4))
+        worst_split = min(splits, key=gap_exponent)
         checks.append(
             _agreement_check(
                 "splitting-identity expansion (k=%d)" % k,
@@ -672,13 +662,7 @@ _AUDIT_FUNCTIONS = {
 def run_audits(cfg: AuditConfig) -> dict:
     """Run the selected audits and assemble the (deterministic) report."""
     reports = [_AUDIT_FUNCTIONS[t](cfg) for t in cfg.theorems]
-    verdicts = [r.verdict for r in reports]
-    if "FAIL" in verdicts:
-        overall = "FAIL"
-    elif "INCONCLUSIVE" in verdicts:
-        overall = "INCONCLUSIVE"
-    else:
-        overall = "PASS"
+    overall = _worst_verdict(r.verdict for r in reports)
     extras = {}
     if "thm33" in cfg.theorems or "thm32" in cfg.theorems:
         params = cfg.params()

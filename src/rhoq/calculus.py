@@ -330,45 +330,6 @@ def binomial_triangle(
     return rows
 
 
-def q_number(x: PadicNumber | int, q: PadicNumber) -> PadicNumber:
-    """[x]_q = (1 - q^x)/(1 - q); equals x itself in the q -> 1 limit."""
-    p = q.prime
-    one = PadicNumber.one(p, q.digits)
-    qm1 = q - one
-    if qm1.is_zero_residue:
-        if isinstance(x, int):
-            return PadicNumber.from_integer(x, p, q.digits)
-        return x
-    if isinstance(x, int) and x >= 0:
-        # 1 + q + ... + q^(x-1): the deformed integer at rho = 1
-        w = q.digits
-        acc = _bracket_residue(1, q.residue(w), x, p**w)
-        return PadicNumber.from_integer(acc, p, w) if acc else (
-            PadicNumber.exact_zero(p) if x == 0 else PadicNumber.bounded_zero(p, w)
-        )
-    qx = rhoq_power(q, x)
-    return div(one - qx, one - q)
-
-
-def rhoq_number(x: PadicNumber | int, params: RhoQParams, digits: int | None = None) -> PadicNumber:
-    """[x] for a general p-adic x: (rho^x - q^x)/(rho - q).
-
-    Rejected at rho = q with a non-integer exponent (the quotient form is the
-    only continuous extension we provide; integer arguments go through
-    rhoq_integer instead).
-    """
-    if isinstance(x, int) and x >= 0:
-        return rhoq_integer(x, params, digits)
-    w = digits if digits is not None else params.precision
-    p = params.prime
-    rho = PadicNumber(p, 0, params.rho_residue(w), w)
-    q = PadicNumber(p, 0, params.q_residue(w), w)
-    denom = rho - q
-    if denom.is_zero_residue:
-        raise DomainError("rho = q with a non-integer exponent is not supported")
-    return div(rhoq_power(rho, x, w) - rhoq_power(q, x, w), denom)
-
-
 def rhoq_power(
     base: PadicNumber, exponent: PadicNumber | int, abs_prec: int | None = None
 ) -> PadicNumber:

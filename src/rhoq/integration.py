@@ -6,10 +6,15 @@ interest are limits, and auditing them needs the rates, not just a value.
 Every integrand but a pointwise one is an exponential polynomial: with
 [x] = (rho^x - q^x)/(rho - q), or x q^(x-1) at rho = q, `lower` writes it
 once as p^-v sum P_b(x) b^x with residue coefficients, and the level sums
-run one loop over its bases.  That loop serves the plain integral (shift=0,
-step=1), the restricted direct sums (shift=a, step=p^n), and the
-lifted-parameter inner integrals of the restriction identity, which keeps
-the two weighted-measure evaluation paths genuinely comparable.
+run one loop over its bases.
+
+The integral and the weighted ball values are one quantity,
+rho^(p^M)/[p^M] * sum f(x) (q/rho)^x over x = a + p^n y, y < p^m, and one
+builder (`_level_terms`) forms it for all three: the plain integral
+(a = n = 0, M = m), the direct restricted sums (M = n + m), and the
+restriction identity (M = m at parameters lifted by n, times 1/[p^n]).  The
+last two reach the same ball value through different arithmetic, which is
+what makes their cross-check worth running.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .calculus import (
     vp_factorial,
 )
 from .measures import Ball, Distribution
-from .padic import PadicNumber, PrecisionError, div, vp
+from .padic import DomainError, PadicNumber, PrecisionError, div, vp
 from .sequences import ApproximantSequence
 
 # ---------------------------------------------------------------------------
@@ -56,14 +61,6 @@ class IntegrableFunction:
     fn: Callable[[int], PadicNumber] | None = None
     parts: tuple = ()
     label: str = ""
-
-    @property
-    def degree(self) -> int:
-        if self.tag in ("poly_x", "poly_bracket", "mahler"):
-            return len(self.coeffs) - 1
-        if self.tag == "mixed":
-            return self.n
-        return 0
 
     def describe(self) -> str:
         return self.label or self.tag
@@ -113,14 +110,6 @@ class IntegrableFunction:
         if self.tag == "pointwise":
             return self.fn(x)
         raise ValueError("unknown tag %r" % self.tag)
-
-    def loss_bound(self, params: RhoQParams) -> int:
-        """Digits an evaluation may cost (Gaussian-binomial denominators)."""
-        if self.tag == "mahler":
-            return vp_factorial(self.degree, params.prime)
-        if self.tag in ("product", "sum"):
-            return max((part.loss_bound(params) for part in self.parts), default=0)
-        return 0
 
 
 def _as_padic(c, p: int, digits: int) -> PadicNumber:
@@ -258,8 +247,8 @@ def lower(f: IntegrableFunction, params: RhoQParams, w: int) -> NormalForm | Non
 
     def guard(g: IntegrableFunction) -> int:
         if g.tag in ("poly_bracket", "mixed", "mahler"):
-            loss = vp_factorial(g.degree, p) if g.tag == "mahler" else 0
-            return max(g.degree, 0) * (nu or 0) + loss
+            k = max(g.n if g.tag == "mixed" else len(g.coeffs) - 1, 0)
+            return k * (nu or 0) + (vp_factorial(k, p) if g.tag == "mahler" else 0)
         parts = [guard(part) for part in g.parts]
         return sum(parts) if g.tag == "product" else max(parts, default=0)
 
@@ -322,7 +311,10 @@ def lower(f: IntegrableFunction, params: RhoQParams, w: int) -> NormalForm | Non
         if tag == "poly_x":
             return 0, {1: [coeff(c) for c in g.coeffs]}
         if tag == "exponential" and not g.use_ratio_base:
-            return 0, {coeff(g.base): [1]}
+            base = coeff(g.base)
+            if base % p != 1:  # c^x is continuous on Z_p only for c in 1 + pZ_p
+                raise DomainError("rhoq_power requires base in 1 + pZ_p")
+            return 0, {base: [1]}
         params.require_digits(w)  # the families below read rho and q
         if tag == "exponential":
             return 0, {ratio: [1]}
@@ -429,6 +421,43 @@ def _evaluated_sums(
 # ---------------------------------------------------------------------------
 
 
+def _level_terms(
+    f: IntegrableFunction,
+    params: RhoQParams,
+    levels: Sequence[int],
+    d: int,
+    shift: int = 0,
+    n: int = 0,
+    lifted: bool = False,
+) -> list[tuple[int, PadicNumber]]:
+    """rho'^(p^M) S_m / [p^M]' for m in levels (sorted), where S_m is the sum
+    over y < p^m of f(x) (q/rho)^x at x = shift + p^n y.
+
+    At the given parameters M = n + m: the plain integral (n = 0) and the
+    direct restricted sums.  With lifted, M = m at params.lifted(n), times
+    1/[p^n]: the restriction identity.  The sums are taken once, to
+    w = d + n + top + 1 digits, and are sound to w - deficiency.
+    """
+    p = params.prime
+    top = max(levels, default=0)
+    w = d + n + top + 1
+    sums, deficiency = progression_sums(f, params, top, shift, p**n, w)
+    known = w - deficiency
+    mod = p**known
+    at = params.lifted(n) if lifted else params
+    rho = at.rho_residue(known)
+    outer = div(PadicNumber.one(p, known), p_power_bracket(params, n, known)) if lifted else None
+    terms = []
+    for m in levels:
+        M = m if lifted else n + m
+        s = sums[m] % mod
+        s_p = PadicNumber.from_integer(s, p, known) if s else PadicNumber.bounded_zero(p, known)
+        scale = PadicNumber(p, 0, pow(rho, p**M, mod), known)
+        term = div(scale * s_p, p_power_bracket(at, M, known))
+        terms.append((m, outer * term if lifted else term))
+    return terms
+
+
 def volkenborn_integral(
     f: IntegrableFunction,
     params: RhoQParams,
@@ -441,26 +470,15 @@ def volkenborn_integral(
     levels = sorted(levels)
     if not levels or levels[0] < 1:
         raise ValueError("levels must be >= 1")
-    p = params.prime
     d = digits if digits is not None else params.precision
     t = target_exponent if target_exponent is not None else max(2, d - 2)
-    loss = f.loss_bound(params)
-    w = d + levels[-1] + loss + 1
-    sums, deficiency = progression_sums(f, params, levels[-1], 0, 1, w)
-    known = w - loss - deficiency
-    mod = p**known
-    terms = []
-    for N in levels:
-        s = sums[N] % mod
-        s_p = (
-            PadicNumber.from_integer(s, p, known)
-            if s
-            else PadicNumber.bounded_zero(p, known)
-        )
-        scale = PadicNumber(p, 0, pow(params.rho_residue(known), p**N, mod), known)
-        a_n = div(scale * s_p, p_power_bracket(params, N, known))
-        terms.append((N, a_n.reduce_abs(d) if a_n.abs_precision > d else a_n))
-    return ApproximantSequence.build(p, terms, t, note="integral of %s" % f.describe())
+    terms = [
+        (N, a.reduce_abs(d) if a.abs_precision > d else a)
+        for N, a in _level_terms(f, params, levels, d)
+    ]
+    return ApproximantSequence.build(
+        params.prime, terms, t, note="integral of %s" % f.describe()
+    )
 
 
 def weighted_measure_sequence(
@@ -480,48 +498,12 @@ def weighted_measure_sequence(
     inner_levels = sorted(inner_levels)
     if not inner_levels or inner_levels[0] < 1:
         raise ValueError("inner levels must be >= 1")
-    p = params.prime
-    n = ball.level
     d = digits if digits is not None else params.precision
     t = target_exponent if target_exponent is not None else max(2, d - 2)
-    loss = f.loss_bound(params)
-    w = d + inner_levels[-1] + n + loss + 1
-    lifted = params.lifted(n)
-    sums, deficiency = progression_sums(f, params, inner_levels[-1], ball.rep, p**n, w)
-    known = w - loss - deficiency
-    mod = p**known
-    outer = div(
-        PadicNumber.one(p, known), p_power_bracket(params, n, known)
-    )
-    rho_lift = lifted.rho_residue(known)
-    terms = []
-    for m in inner_levels:
-        s = sums[m] % mod
-        s_p = (
-            PadicNumber.from_integer(s, p, known)
-            if s
-            else PadicNumber.bounded_zero(p, known)
-        )
-        scale = PadicNumber(p, 0, pow(rho_lift, p**m, mod), known)
-        inner = div(scale * s_p, p_power_bracket(lifted, m, known))
-        terms.append((m, outer * inner))
+    terms = _level_terms(f, params, inner_levels, d, ball.rep, ball.level, lifted=True)
     return ApproximantSequence.build(
-        p, terms, t, note="weighted measure of %s on %s" % (f.describe(), ball)
+        params.prime, terms, t, note="weighted measure of %s on %s" % (f.describe(), ball)
     )
-
-
-def weighted_measure(
-    f: IntegrableFunction,
-    params: RhoQParams,
-    ball: Ball,
-    *,
-    inner_levels: Sequence[int] | None = None,
-    digits: int | None = None,
-) -> PadicNumber:
-    """The f-weighted measure of a ball (declared limit, or last approximant)."""
-    d = digits if digits is not None else params.precision
-    lv = inner_levels if inner_levels is not None else range(1, 6)
-    return weighted_measure_sequence(f, params, ball, lv, digits=d).limit_estimate()
 
 
 def weighted_measure_direct(
@@ -539,28 +521,11 @@ def weighted_measure_direct(
     at the unlifted parameters; cross-validated against
     weighted_measure_sequence (same mathematical object, different arithmetic).
     """
-    p = params.prime
-    n = ball.level
     d = digits if digits is not None else params.precision
     t = target_exponent if target_exponent is not None else max(2, d - 2)
-    loss = f.loss_bound(params)
-    w = d + n + depth + loss + 1
-    sums, deficiency = progression_sums(f, params, depth, ball.rep, p**n, w)
-    known = w - loss - deficiency
-    mod = p**known
-    terms = []
-    for m in range(1, depth + 1):
-        M = n + m
-        s = sums[m] % mod
-        s_p = (
-            PadicNumber.from_integer(s, p, known)
-            if s
-            else PadicNumber.bounded_zero(p, known)
-        )
-        scale = PadicNumber(p, 0, pow(params.rho_residue(known), p**M, mod), known)
-        terms.append((m, div(scale * s_p, p_power_bracket(params, M, known))))
+    terms = _level_terms(f, params, range(1, depth + 1), d, ball.rep, ball.level)
     return ApproximantSequence.build(
-        p, terms, t, note="direct restricted sums of %s on %s" % (f.describe(), ball)
+        params.prime, terms, t, note="direct restricted sums of %s on %s" % (f.describe(), ball)
     )
 
 

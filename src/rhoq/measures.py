@@ -112,16 +112,6 @@ class RhoQHaar(Distribution):
         return rhoq_haar_measure(ball, self.params, self.digits)
 
 
-class ZeroDistribution(Distribution):
-    family = "zero"
-
-    def __init__(self, params: RhoQParams, digits: int | None = None):
-        super().__init__(params, digits if digits is not None else params.precision)
-
-    def _value(self, ball: Ball) -> PadicNumber:
-        return PadicNumber.exact_zero(self.params.prime)
-
-
 class LinearCombination(Distribution):
     """alpha * d1 + beta * d2 + ...; additivity is inherited termwise."""
 

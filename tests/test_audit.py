@@ -59,6 +59,27 @@ class TestVerdictLogic:
         assert ladder[:4] == ["PASS"] * 4
         assert set(ladder[4:]) == {"FAIL"}
 
+    @pytest.mark.parametrize("rho,q", [("1", "2"), ("1", "1")], ids=["deformed", "symmetric"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_whole_report_monotone_in_tolerance(self, rho, q, seed):
+        # a stricter tolerance never moves a check or a verdict up FAIL < INCONCLUSIVE < PASS
+        rank = {"FAIL": 0, "INCONCLUSIVE": 1, "PASS": 2}
+        small = dict(p=3, precision=10, rho_spec=rho, q_spec=q, n_max=3, inner_max=3, outer_max=2)
+
+        def verdicts(t):
+            report = run_audits(AuditConfig(seed=seed, tolerance_exponent=t, **small))
+            checks = [(c["name"], c["verdict"]) for a in report["audits"] for c in a["checks"]]
+            return report["verdict"], [a["verdict"] for a in report["audits"]], checks
+
+        runs = [verdicts(t) for t in range(2, 8)]
+        assert runs[0][2] != runs[-1][2]  # some check does move
+        for (overall, audits, checks), (overall1, audits1, checks1) in zip(runs, runs[1:]):
+            assert rank[overall1] <= rank[overall]
+            assert all(rank[b] <= rank[a] for a, b in zip(audits, audits1))
+            assert [name for name, _ in checks] == [name for name, _ in checks1]
+            for (_, a), (_, b) in zip(checks, checks1):
+                assert a == b == "MEASURED" or rank[b] <= rank[a]
+
     def test_inconclusive_when_certificate_short(self):
         d = self._diff(4)
         assert _agreement_check("c", "r", d, 6, certified=3).verdict == "INCONCLUSIVE"

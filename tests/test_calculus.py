@@ -5,11 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from rhoq.calculus import (
     RhoQParams,
-    q_number,
     rhoq_binomial,
     rhoq_factorial,
     rhoq_integer,
-    rhoq_number,
     rhoq_power,
     vp_factorial,
 )
@@ -50,23 +48,17 @@ class TestParams:
 
 
 class TestQNumber:
+    """The q-number [n]_q = (1 - q^n)/(1 - q) is [n] at rho = 1."""
+
     def test_limit_q_to_one(self):
-        one = padic_from_integer(1, 5, 8)
-        x = q_number(5, one)
-        assert x.residue(8) == 5
+        assert rhoq_integer(5, RhoQParams.classical(5, 8), 8).residue(8) == 5
 
     def test_zero(self):
-        q = padic_from_integer(6, 5, 8)
-        assert q_number(0, q).is_exact_zero
+        assert rhoq_integer(0, RhoQParams.from_units(5, 1, 6, 8), 8).is_exact_zero
 
     def test_closed_form_sum(self):
-        q = padic_from_integer(6, 5, 4)
-        assert q_number(3, q).residue(4) == (1 + 6 + 36) % 5**4  # = 43
-
-    def test_padic_exponent_matches_integer(self):
-        q = padic_from_integer(6, 5, 8)
-        x = padic_from_integer(3, 5, 8)
-        assert q_number(x, q).agrees(q_number(3, q), 6)
+        pr = RhoQParams.from_units(5, 1, 6, 4)
+        assert rhoq_integer(3, pr, 4).residue(4) == (1 + 6 + 36) % 5**4  # = 43
 
 
 class TestDeformedInteger:
@@ -262,17 +254,3 @@ class TestPower:
     def test_base_outside_disc(self):
         with pytest.raises(DomainError):
             rhoq_power(padic_from_integer(2, 5, 4), 3)
-
-
-class TestGeneralBracket:
-    def test_integer_agrees_with_summation(self):
-        pr = params(prec=10)
-        for n in (1, 4, 9):
-            # quotient form at a p-adic exponent vs summation form
-            e = padic_from_integer(n, 5, 10)
-            assert rhoq_number(e, pr).agrees(rhoq_integer(n, pr), 8)
-
-    def test_rejects_equal_params_nonintegral(self):
-        pr = RhoQParams.from_offsets(5, 1, 1, 8)
-        with pytest.raises(DomainError):
-            rhoq_number(padic_from_integer(-1, 5, 8), pr)

@@ -63,6 +63,15 @@ class TestErrorExit:
         assert main(["measure", "--ball", "3", "2", "--levels", "1:x"]) == EXIT_ERROR
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    def test_exponential_base_outside_the_disc_is_refused(self, capsys):
+        # c^x is continuous on Z_p only for c in 1 + pZ_p; mahler says the same
+        for command in ("integrate", "mahler"):
+            assert main([command, "--function", "exp:2"]) == EXIT_ERROR
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", "rhoq: error: rhoq_power requires base in 1 + pZ_p\n"
+            )
+
     def test_no_traceback_from_a_fresh_process(self):
         code, out, err = fresh_process(self.ARGV)
         assert code == 3 and out == ""

@@ -6,9 +6,9 @@ from rhoq.calculus import RhoQParams, rhoq_power
 from rhoq.measures import (
     Ball,
     DensityScaled,
+    Distribution,
     LinearCombination,
     RhoQHaar,
-    ZeroDistribution,
     check_invariance,
     difference,
     lipschitz_estimate,
@@ -22,6 +22,18 @@ from .oracles import haar_value, rat_mod
 
 def params(p=5, rho_k=1, q_k=2, prec=12):
     return RhoQParams.from_offsets(p, rho_k, q_k, prec)
+
+
+class ZeroDistribution(Distribution):
+    """Exactly zero on every ball: the strongly invariant distribution with constant 0."""
+
+    family = "zero"
+
+    def __init__(self, params: RhoQParams):
+        super().__init__(params, params.precision)
+
+    def _value(self, ball: Ball) -> PadicNumber:
+        return PadicNumber.exact_zero(self.params.prime)
 
 
 class TestBall:
