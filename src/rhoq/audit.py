@@ -103,12 +103,11 @@ class AuditConfig:
         return t if t is not None else max(2, self.precision - 6)
 
     def params(self) -> RhoQParams:
+        rho, rho_digits = _parse_unit_spec(self.rho_spec, self.p)
+        q, q_digits = _parse_unit_spec(self.q_spec, self.p)
+        known = [k for k in (rho_digits, q_digits) if k is not None]
         return RhoQParams(
-            self.p,
-            _parse_unit_spec(self.rho_spec, self.p)[0],
-            _parse_unit_spec(self.q_spec, self.p)[0],
-            precision=self.precision,
-            known_digits=_known_digits(self.rho_spec, self.q_spec),
+            self.p, rho, q, precision=self.precision, known_digits=min(known, default=None)
         )
 
     def describe(self) -> dict:
@@ -141,14 +140,6 @@ def _parse_unit_spec(spec: str | int, p: int) -> tuple[Fraction, int | None]:
     if "/" in s:
         return Fraction(s), None
     return Fraction(1 + int(s) * p), None
-
-
-def _known_digits(rho_spec: str | int, q_spec: str | int) -> int | None:
-    digits = []
-    for spec in (rho_spec, q_spec):
-        if isinstance(spec, str) and spec.strip().startswith("digits:"):
-            digits.append(len([t for t in spec.split(":", 1)[1].split(",") if t != ""]))
-    return min(digits) if digits else None
 
 
 @dataclass

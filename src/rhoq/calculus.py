@@ -143,9 +143,6 @@ class RhoQParams:
             raise ValueError("lift exponent must be >= 0")
         return replace(self, rho_tower=self.rho_tower + n, q_tower=self.q_tower + n)
 
-    def at_precision(self, precision: int) -> "RhoQParams":
-        return replace(self, precision=precision)
-
     def describe(self) -> dict:
         return {
             "p": self.prime,

@@ -48,28 +48,34 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_function(spec: str) -> IntegrableFunction:
-    """Function specs: 1 | const:C | x | x^K | [x] | [x]^K | qrho^x | exp:C | mixed:A,N."""
+    """Function specs: 1 | const:C | x | x^K | [x] | [x]^K | qrho^x | exp:C | mixed:A,N,
+    with K, N >= 0; a spec that names no function is a usage error."""
     s = spec.strip()
-    if s == "1":
-        return const(1)
-    if s.startswith("const:"):
-        return const(Fraction(s.split(":", 1)[1]))
-    if s == "x":
-        return coordinate()
-    if s.startswith("x^"):
-        k = int(s[2:])
-        return poly_in_x([0] * k + [1], label=s)
-    if s == "[x]":
-        return bracket_power(1)
-    if s.startswith("[x]^"):
-        return bracket_power(int(s[4:]))
-    if s == "qrho^x":
-        return ratio_exponential()
-    if s.startswith("exp:"):
-        return exponential(Fraction(s.split(":", 1)[1]))
-    if s.startswith("mixed:"):
-        a, n = s.split(":", 1)[1].split(",")
-        return mixed_power(int(a), int(n))
+    try:
+        if s == "1":
+            return const(1)
+        if s.startswith("const:"):
+            return const(Fraction(s.split(":", 1)[1]))
+        if s == "x":
+            return coordinate()
+        if s.startswith("x^"):
+            k = int(s[2:])
+            if k < 0:
+                raise ValueError("n must be >= 0")
+            return poly_in_x([0] * k + [1], label=s)
+        if s == "[x]":
+            return bracket_power(1)
+        if s.startswith("[x]^"):
+            return bracket_power(int(s[4:]))
+        if s == "qrho^x":
+            return ratio_exponential()
+        if s.startswith("exp:"):
+            return exponential(Fraction(s.split(":", 1)[1]))
+        if s.startswith("mixed:"):
+            a, n = s.split(":", 1)[1].split(",")
+            return mixed_power(int(a), int(n))
+    except ValueError as exc:
+        _build_parser().error(str(exc))
     _build_parser().error("unrecognized function spec %r" % spec)
 
 

@@ -3,10 +3,13 @@
 Every integral is returned as an ApproximantSequence: the objects of
 interest are limits, and auditing them needs the rates, not just a value.
 
-Every integrand but a pointwise one is an exponential polynomial: with
+Every integrand is an exponential polynomial: with
 [x] = (rho^x - q^x)/(rho - q), or x q^(x-1) at rho = q, `lower` writes it
 once as p^-v sum P_b(x) b^x with residue coefficients, and the level sums
 run one loop over its bases.
+A general continuous f reaches the integrals the paper's way, through its
+Mahler expansion: `mahler_coefficients` -> `mahler_function`, a series in
+the Gaussian binomials, which lowers like every other family.
 
 The integral and the weighted ball values are one quantity,
 rho^(p^M)/[p^M] * sum f(x) (q/rho)^x over x = a + p^n y, y < p^m, and one
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .calculus import (
     MEMO_SIZE,
@@ -45,11 +48,11 @@ from .sequences import ApproximantSequence
 
 @dataclass(frozen=True)
 class IntegrableFunction:
-    """A pointwise-evaluable function on Z_p with a structure tag.
+    """A function on Z_p with a structure tag, evaluable at each point.
 
-    Tags: const, poly_x (polynomial in x), poly_bracket (polynomial in [x]),
-    exponential (c^x; c = q/rho when use_ratio_base), mixed (rho^(a x) [x]^n),
-    mahler (Gaussian-binomial series), product, pointwise.
+    Tags: poly_x (polynomial in x; constants too), poly_bracket (polynomial
+    in [x]), exponential (c^x; c = q/rho when use_ratio_base), mixed
+    (rho^(a x) [x]^n), mahler (Gaussian-binomial series), product, sum.
     """
 
     tag: str
@@ -58,19 +61,16 @@ class IntegrableFunction:
     use_ratio_base: bool = False
     a: int = 0
     n: int = 0
-    fn: Callable[[int], PadicNumber] | None = None
     parts: tuple = ()
     label: str = ""
 
     def describe(self) -> str:
         return self.label or self.tag
 
-    # -- direct pointwise evaluation (the definition; level sums go through lower)
+    # -- direct evaluation at a point (the definition; level sums go through lower)
 
     def evaluate(self, x: int, params: RhoQParams, digits: int) -> PadicNumber:
         p = params.prime
-        if self.tag == "const":
-            return PadicNumber.from_fraction(self.coeffs[0], p, digits)
         if self.tag == "poly_x":
             value = sum(Fraction(c) * x**i for i, c in enumerate(self.coeffs))
             return PadicNumber.from_fraction(value, p, digits)
@@ -107,8 +107,6 @@ class IntegrableFunction:
             for c, part in zip(self.coeffs, self.parts):
                 acc = acc + _as_padic(c, p, digits) * part.evaluate(x, params, digits)
             return acc
-        if self.tag == "pointwise":
-            return self.fn(x)
         raise ValueError("unknown tag %r" % self.tag)
 
 
@@ -126,7 +124,7 @@ def capped_residue(value: PadicNumber, w: int) -> int:
 
 
 def const(c: Fraction | int) -> IntegrableFunction:
-    return IntegrableFunction("const", coeffs=(Fraction(c),), label="const %s" % c)
+    return IntegrableFunction("poly_x", coeffs=(Fraction(c),), label="const %s" % c)
 
 
 def coordinate() -> IntegrableFunction:
@@ -144,6 +142,8 @@ def poly_in_bracket(coeffs: Sequence, label: str = "") -> IntegrableFunction:
 
 
 def bracket_power(k: int) -> IntegrableFunction:
+    if k < 0:
+        raise ValueError("n must be >= 0")
     coeffs = tuple([Fraction(0)] * k + [Fraction(1)])
     return IntegrableFunction("poly_bracket", coeffs=coeffs, label="[x]^%d" % k)
 
@@ -157,15 +157,13 @@ def exponential(base: Fraction | int) -> IntegrableFunction:
 
 
 def mixed_power(a: int, n: int) -> IntegrableFunction:
+    if n < 0:  # [0] = 0, so [x]^n is not defined on Z_p
+        raise ValueError("n must be >= 0")
     return IntegrableFunction("mixed", a=a, n=n, label="rho^(%dx)[x]^%d" % (a, n))
 
 
 def mahler_function(coeffs: Sequence, label: str = "") -> IntegrableFunction:
     return IntegrableFunction("mahler", coeffs=tuple(coeffs), label=label or "mahler series")
-
-
-def pointwise(fn: Callable[[int], PadicNumber], label: str = "pointwise") -> IntegrableFunction:
-    return IntegrableFunction("pointwise", fn=fn, label=label)
 
 
 def product(*fs: IntegrableFunction) -> IntegrableFunction:
@@ -228,9 +226,8 @@ def _nf_mul(a: tuple, b: tuple, mod: int) -> tuple:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def lower(f: IntegrableFunction, params: RhoQParams, w: int) -> NormalForm | None:
-    """f as an exponential polynomial, for sums sound to w digits; None when
-    f has a pointwise part.
+def lower(f: IntegrableFunction, params: RhoQParams, w: int) -> NormalForm:
+    """f as an exponential polynomial, for sums sound to w digits.
 
     [x] = (rho^x - q^x)/(rho - q), or x q^(x-1) at rho = q, and a Gaussian
     binomial {x choose m} is prod_{j<m} [x - j] / [m]!.  Each [x] costs
@@ -288,15 +285,11 @@ def lower(f: IntegrableFunction, params: RhoQParams, w: int) -> NormalForm | Non
 
     one, zero = (0, {1: [1]}), (0, {})
 
-    def build(g: IntegrableFunction) -> tuple | None:
+    def build(g: IntegrableFunction) -> tuple:
         tag = g.tag
-        if tag == "pointwise":
-            return None
         if tag in ("product", "sum"):
             parts = [build(part) for part in g.parts]
             weights = [coeff(c) for c in g.coeffs] if tag == "sum" else []
-            if any(part is None for part in parts):
-                return None
             if tag == "sum":
                 acc = zero
                 for c, part in zip(weights, parts):
@@ -306,8 +299,6 @@ def lower(f: IntegrableFunction, params: RhoQParams, w: int) -> NormalForm | Non
                 for part in parts:
                     acc = _nf_mul(acc, part, mod)
             return acc
-        if tag == "const":
-            return 0, {1: [coeff(g.coeffs[0])]}
         if tag == "poly_x":
             return 0, {1: [coeff(c) for c in g.coeffs]}
         if tag == "exponential" and not g.use_ratio_base:
@@ -338,8 +329,6 @@ def lower(f: IntegrableFunction, params: RhoQParams, w: int) -> NormalForm | Non
         return acc
 
     nf = build(f)
-    if nf is None:
-        return None
     terms = tuple((base, tuple(reversed(poly))) for base, poly in nf[1].items() if any(poly))
     return NormalForm(nf[0], W, terms, max(deficiency, 0), ratio)
 
@@ -361,15 +350,12 @@ def progression_sums(
     f is lowered once (memoized) to p^-v sum P_b(x) b^x.  The weight folds
     into every base, each base runs its powers b^(shift + step y) once (with
     Horner in x when P_b has degree > 0), the level ends record the partial
-    sums, and the total is divided by p^v exactly.  An f with a pointwise
-    part is summed point by point through evaluate.
+    sums, and the total is divided by p^v exactly.
     """
     p = params.prime
     ends = [p**m for m in range(max_level + 1)]
     nf = lower(f, params, w)
     params.require_digits(w)
-    if nf is None:
-        return _evaluated_sums(f, params, ends, shift, step, w)
     mod = p**nf.W
     out = [0] * len(ends)
     for base, coeffs in nf.terms:
@@ -393,27 +379,6 @@ def progression_sums(
             out[m] += scale * acc
             y = end
     return [s % mod // p**nf.v % p**w for s in out], nf.deficiency
-
-
-def _evaluated_sums(
-    f: IntegrableFunction, params: RhoQParams, ends: list[int], shift: int, step: int, w: int
-) -> tuple[list[int], int]:
-    """progression_sums point by point through f.evaluate."""
-    mod = params.prime**w
-    t = params.ratio_residue(w)
-    wt, wt_step = pow(t, shift, mod), pow(t, step, mod)
-    out, acc, deficiency, x, y = [], 0, 0, shift, 0
-    for end in ends:
-        for _ in range(y, end):
-            value = f.evaluate(x, params, w)
-            if not value.is_exact_zero:
-                deficiency = max(deficiency, w - int(value.abs_precision))
-            acc = (acc + capped_residue(value, w) * wt) % mod
-            wt = wt * wt_step % mod
-            x += step
-        y = end
-        out.append(acc)
-    return out, deficiency
 
 
 # ---------------------------------------------------------------------------
@@ -571,8 +536,6 @@ def carlitz_bernoulli(
     target_exponent: int | None = None,
 ) -> ApproximantSequence:
     """The integral of rho^(a x) [x]^n: the deformed Bernoulli-type numbers."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return volkenborn_integral(
         mixed_power(a, n), params, levels, digits=digits, target_exponent=target_exponent
     )

@@ -39,9 +39,6 @@ class Ball:
         step = self.prime**self.level
         return [Ball(self.prime, self.rep + i * step, self.level + 1) for i in range(self.prime)]
 
-    def contains(self, x: int) -> bool:
-        return x % self.prime**self.level == self.rep
-
     def __str__(self) -> str:
         return "%d + %d^%d Z_p" % (self.rep, self.prime, self.level)
 

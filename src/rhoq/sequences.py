@@ -23,9 +23,7 @@ def gap_exponent(d: PadicNumber) -> int | float:
     """Certified vanishing exponent of a difference: d ≡ 0 mod p^e."""
     if d.is_exact_zero:
         return inf
-    if d.unit == 0:
-        return d.val  # bounded zero O(p^a)
-    return d.val
+    return d.val  # a bounded zero O(p^a) included
 
 
 def gap_norm(d: PadicNumber) -> Fraction:

@@ -90,6 +90,10 @@ class TestMalformedInvocation:
         "mahler": ["mahler", "--function", "tan"],
         "bernoulli": ["bernoulli", "--a", "1"],
         "rn-deriv": ["rn-deriv", "--x", "3", "--weight", "tan"],
+        # 0 and [0] = 0 have no inverse, so no negative power is a function on Z_p
+        "negative-x-power": ["integrate", "--function", "x^-1"],
+        "negative-bracket-power": ["integrate", "--function", "[x]^-1"],
+        "negative-mixed-power": ["integrate", "--function", "mixed:1,-1", "--rho", "1"],
     }
 
     @pytest.mark.parametrize("argv", CASES.values(), ids=CASES.keys())

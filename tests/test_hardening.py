@@ -219,3 +219,14 @@ class TestSequenceCertificates:
         seq = ApproximantSequence.build(p, terms, target_exponent=5)
         assert seq.converged
         assert seq.certified_exponent >= 5
+
+
+class TestPublicNames:
+    def test_every_exported_name_resolves(self):
+        import rhoq
+
+        missing = [name for name in rhoq.__all__ if not hasattr(rhoq, name)]
+        assert missing == []
+        namespace: dict = {}
+        exec("from rhoq import *", namespace)
+        assert set(rhoq.__all__) <= set(namespace)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rhoq.calculus import RhoQParams, rhoq_integer, rhoq_power
+from rhoq.calculus import RhoQParams, rhoq_power
 from rhoq.integration import (
     capped_residue,
     WeightedDistribution,
@@ -14,9 +14,9 @@ from rhoq.integration import (
     coordinate,
     exponential,
     integral_against_weighted,
+    linear_combination,
     mahler_function,
     mixed_power,
-    pointwise,
     poly_in_bracket,
     poly_in_x,
     product,
@@ -29,7 +29,14 @@ from rhoq.integration import (
 from rhoq.measures import Ball, rhoq_haar_measure
 from rhoq.padic import PadicNumber, padic_from_fraction, padic_from_integer
 
-from .oracles import q_volkenborn_level, rat_mod, sum_x2, volkenborn_level
+from .oracles import (
+    bracket,
+    progression_partial_sums,
+    q_volkenborn_level,
+    rat_mod,
+    sum_x2,
+    volkenborn_level,
+)
 
 
 def params(p=5, rho_k=1, q_k=2, prec=12):
@@ -225,15 +232,10 @@ class TestWeightedMeasure:
 
     def test_linearity_on_balls(self):
         pr = params(prec=12)
+        rho, q = Fraction(6), Fraction(11)
         f, g = coordinate(), bracket_power(1)
         alpha, beta = 2, 3
-        combo = pointwise(
-            lambda x: (
-                padic_from_integer(alpha * x, 5, 18)
-                + padic_from_integer(beta, 5, 18) * rhoq_integer(x, pr, 18)
-            ),
-            label="2x + 3[x]",
-        )
+        combo = linear_combination([alpha, beta], [f, g])
         rng = random.Random(3)
         for _ in range(4):
             n = rng.randint(1, 2)
@@ -246,6 +248,15 @@ class TestWeightedMeasure:
             b = padic_from_integer(beta, 5, 16)
             for (_, tc), (_, tf), (_, tg) in zip(lhs, rf, rg):
                 assert tc.agrees(a * tf + b * tg)
+            # the combination's level sums against exact sums, not the normal form
+            w = 10
+            sums, deficiency = progression_sums(combo, pr, 3, ball.rep, 5**n, w)
+            exact = progression_partial_sums(
+                lambda x: alpha * x + beta * bracket(x, rho, q),
+                rho, q, ball.rep, 5**n, [5**m for m in range(4)],
+            )
+            assert deficiency == 0
+            assert sums == [rat_mod(e, 5, w) for e in exact]
 
     def test_norm_bound(self):
         # |weighted value| <= ||f||_1 * |(q/rho)^a| * |1/[p^n]| = p^n here
