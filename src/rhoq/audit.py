@@ -67,6 +67,31 @@ AUDIT_TITLES = {
 # configuration and report types
 # ---------------------------------------------------------------------------
 
+#: grid depth of the Lipschitz estimates (thm31) and the norm bound (thm32)
+GRID_LEVEL = 2
+#: digits the deepest audit level keeps below the precision
+SAFETY_MARGIN = 4
+
+
+def level_window(n_min: int, n_max: int) -> range:
+    """The levels n_min..n_max; refused when empty or when n_min < 1."""
+    if n_min < 1 or n_min > n_max:
+        raise ValueError("need 1 <= n_min <= n_max")
+    return range(n_min, n_max + 1)
+
+
+def tolerance_for(precision: int, t: int | None) -> int:
+    """t (p^-t), by default two digits of margin below the certifiable depth."""
+    return t if t is not None else max(2, precision - 6)
+
+
+def params_from_specs(p: int, precision: int, rho_spec: str, q_spec: str) -> RhoQParams:
+    """The pair from two unit specs (see `_parse_unit_spec`)."""
+    rho, rho_digits = _parse_unit_spec(rho_spec, p)
+    q, q_digits = _parse_unit_spec(q_spec, p)
+    known = [k for k in (rho_digits, q_digits) if k is not None]
+    return RhoQParams(p, rho, q, precision=precision, known_digits=min(known, default=None))
+
 
 @dataclass(frozen=True)
 class AuditConfig:
@@ -79,36 +104,26 @@ class AuditConfig:
     seed: int = 1
     tolerance_exponent: int | None = None
     theorems: tuple[str, ...] = AUDIT_IDS
-    grid_level: int = 2
     inner_max: int = 5
     outer_max: int | None = None  # Riemann-sum window for the integral identity
-    safety_margin: int = 4
 
     def __post_init__(self) -> None:
-        if self.n_max > self.precision - self.safety_margin:
+        if self.n_max > self.precision - SAFETY_MARGIN:
             raise ValueError(
                 "level window too deep for the precision: need n_max <= precision - %d"
-                % self.safety_margin
+                % SAFETY_MARGIN
             )
-        if self.n_min < 1 or self.n_min > self.n_max:
-            raise ValueError("need 1 <= n_min <= n_max")
+        level_window(self.n_min, self.n_max)
         for t in self.theorems:
             if t not in AUDIT_IDS:
                 raise ValueError("unknown audit id %r" % t)
 
     @property
     def tolerance(self) -> int:
-        # default: two digits of margin below the desk-scale certifiable depth
-        t = self.tolerance_exponent
-        return t if t is not None else max(2, self.precision - 6)
+        return tolerance_for(self.precision, self.tolerance_exponent)
 
     def params(self) -> RhoQParams:
-        rho, rho_digits = _parse_unit_spec(self.rho_spec, self.p)
-        q, q_digits = _parse_unit_spec(self.q_spec, self.p)
-        known = [k for k in (rho_digits, q_digits) if k is not None]
-        return RhoQParams(
-            self.p, rho, q, precision=self.precision, known_digits=min(known, default=None)
-        )
+        return params_from_specs(self.p, self.precision, self.rho_spec, self.q_spec)
 
     def describe(self) -> dict:
         return {
@@ -120,14 +135,14 @@ class AuditConfig:
             "seed": self.seed,
             "tolerance_exponent": self.tolerance,
             "theorems": list(self.theorems),
-            "grid_level": self.grid_level,
+            "grid_level": GRID_LEVEL,
             "inner_max": self.inner_max,
             "outer_max": self.outer_max,
         }
 
 
 def _parse_unit_spec(spec: str | int, p: int) -> tuple[Fraction, int | None]:
-    """'k' means 1 + k*p; 'digits:d0,d1,...' is an explicit residue string."""
+    """'k' means 1 + k*p, 'a/b' a rational, 'digits:d0,d1,...' a residue string."""
     if isinstance(spec, int):
         return Fraction(1 + spec * p), None
     s = spec.strip()
@@ -138,8 +153,16 @@ def _parse_unit_spec(spec: str | int, p: int) -> tuple[Fraction, int | None]:
         residue = sum(d * p**i for i, d in enumerate(ds))
         return Fraction(residue), len(ds)
     if "/" in s:
-        return Fraction(s), None
+        return parse_rational(s), None
     return Fraction(1 + int(s) * p), None
+
+
+def parse_rational(text: str) -> Fraction:
+    """Fraction(text), refusing a zero denominator with a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text) from None
 
 
 @dataclass
@@ -235,16 +258,15 @@ def _sample_balls(cfg: AuditConfig, rng: random.Random, count: int) -> list[Ball
 
 
 class _CachedDensity:
-    def __init__(self, dist, levels, target):
+    def __init__(self, dist, levels):
         self.dist = dist
         self.levels = levels
-        self.target = target
         self._cache: dict[int, PadicNumber] = {}
 
     def __call__(self, x: int) -> PadicNumber:
         hit = self._cache.get(x)
         if hit is None:
-            seq = radon_nikodym_derivative(self.dist, x, self.levels, self.target)
+            seq = radon_nikodym_derivative(self.dist, x, self.levels)
             hit = seq.limit_estimate()
             self._cache[x] = hit
         return hit
@@ -273,8 +295,8 @@ def audit_lipschitz(cfg: AuditConfig) -> AuditReport:
         ),
     ]
     for label, dist in inputs:
-        density = _CachedDensity(dist, list(levels), max(2, cfg.precision - 2))
-        m = cfg.grid_level
+        density = _CachedDensity(dist, list(levels))
+        m = GRID_LEVEL
         c_lo = lipschitz_estimate(density, p, m, seed=cfg.seed)
         c_hi = lipschitz_estimate(density, p, m + 1, seed=cfg.seed)
         stable = c_hi <= c_lo * p  # within one digit; equality means saturation
@@ -332,7 +354,7 @@ def audit_weighted_measure(cfg: AuditConfig) -> AuditReport:
     # (2) the norm bound |value| <= ||f||_1 |(q/rho)^a| |1/[p^n]|
     violations = []
     battery = _f_battery()
-    norms = {fx.describe(): lipschitz_norm_grid(fx, params, cfg.grid_level) for fx in battery}
+    norms = {fx.describe(): lipschitz_norm_grid(fx, params, GRID_LEVEL) for fx in battery}
     balls = _sample_balls(cfg, rng, 6)
     for fx in battery:
         for ball in balls:
@@ -436,7 +458,7 @@ def audit_closed_form(cfg: AuditConfig) -> AuditReport:
         units = [x for x in range(1, p**2) if x % p]
         xs = sorted(rng.sample(units, min(16, len(units))))
         for x in xs:
-            seq = radon_nikodym_derivative(dist, x, rn_levels, max(2, cfg.precision - 2))
+            seq = radon_nikodym_derivative(dist, x, rn_levels)
             if "density extraction (k=%d)" % k not in traces:
                 traces["density extraction (k=%d)" % k] = seq.describe()
             numerator = seq.limit_estimate()
@@ -449,7 +471,7 @@ def audit_closed_form(cfg: AuditConfig) -> AuditReport:
             if seq.best_certified is not None:
                 cert_ii = min(cert_ii, seq.best_certified)
             try:
-                ratios.append((x, div(numerator, denom, budget=None)))
+                ratios.append((x, div(numerator, denom)))
             except PrecisionError:
                 continue
         worst = min((r - ratios[0][1] for _, r in ratios[1:]), key=gap_exponent)
@@ -587,10 +609,9 @@ def audit_decomposition(cfg: AuditConfig) -> AuditReport:
     traces: dict = {}
     for label, f in test_functions:
         weighted = WeightedDistribution(f, params, cfg.precision, inner)
-        density = _CachedDensity(weighted, list(window), max(2, cfg.precision - 2))
-        traces["density extraction at x=1 (%s)" % label] = radon_nikodym_derivative(
-            weighted, 1, window, max(2, cfg.precision - 2)
-        ).describe()
+        density = _CachedDensity(weighted, list(window))
+        trace = radon_nikodym_derivative(weighted, 1, window).describe()
+        traces["density extraction at x=1 (%s)" % label] = trace
         associated = DensityScaled(density, params, cfg.precision)
         remainder = difference(weighted, associated)
 

@@ -29,9 +29,10 @@ from .padic import (
 class RhoQParams:
     """The deformation pair (rho, q), both restricted to 1 + pZ_p.
 
-    The pair is stored as exact rational bases raised to p-power towers
-    (value = base^(p^tower)), so lifted parameters compose exactly and any
-    working precision can be re-derived on demand.  ``known_digits`` caps the
+    The pair is stored as exact rational bases raised to one shared p-power
+    tower (rho = rho_base^(p^tower), q = q_base^(p^tower)): lifting raises
+    both together, so lifted parameters compose exactly and any working
+    precision can be re-derived on demand.  ``known_digits`` caps the
     usable precision when the parameters were given as finite digit strings
     rather than exact rationals.
     """
@@ -39,8 +40,7 @@ class RhoQParams:
     prime: int
     rho_base: Fraction
     q_base: Fraction
-    rho_tower: int = 0
-    q_tower: int = 0
+    tower: int = 0
     precision: int = 12
     known_digits: int | None = None
 
@@ -62,7 +62,7 @@ class RhoQParams:
     def from_units(
         cls, p: int, rho: Fraction | int, q: Fraction | int, precision: int = 12
     ) -> "RhoQParams":
-        return cls(p, Fraction(rho), Fraction(q), 0, 0, precision)
+        return cls(p, Fraction(rho), Fraction(q), precision=precision)
 
     @classmethod
     def from_offsets(cls, p: int, rho_k: int, q_k: int, precision: int = 12) -> "RhoQParams":
@@ -79,15 +79,8 @@ class RhoQParams:
         cls, p: int, rho_residue: int, q_residue: int, precision: int
     ) -> "RhoQParams":
         """Parameters known only as residues mod p^precision (digit strings)."""
-        return cls(
-            p,
-            Fraction(rho_residue),
-            Fraction(q_residue),
-            0,
-            0,
-            precision,
-            known_digits=precision,
-        )
+        rho, q = Fraction(rho_residue), Fraction(q_residue)
+        return cls(p, rho, q, precision=precision, known_digits=precision)
 
     # -- residues ------------------------------------------------------------
 
@@ -99,19 +92,19 @@ class RhoQParams:
                 % (self.known_digits, w)
             )
 
-    def _unit_residue(self, base: Fraction, tower: int, w: int) -> int:
+    def _unit_residue(self, base: Fraction, w: int) -> int:
         self.require_digits(w)
         mod = self.prime**w
         res = base.numerator % mod * pow(base.denominator % mod, -1, mod) % mod
-        if tower:
-            res = pow(res, self.prime**tower, mod)
+        if self.tower:
+            res = pow(res, self.prime**self.tower, mod)
         return res
 
     def rho_residue(self, w: int) -> int:
-        return self._unit_residue(self.rho_base, self.rho_tower, w)
+        return self._unit_residue(self.rho_base, w)
 
     def q_residue(self, w: int) -> int:
-        return self._unit_residue(self.q_base, self.q_tower, w)
+        return self._unit_residue(self.q_base, w)
 
     def ratio_residue(self, w: int) -> int:
         """(q / rho) mod p^w."""
@@ -133,21 +126,20 @@ class RhoQParams:
     @property
     def is_symmetric_point(self) -> bool:
         """True when rho and q coincide (as exact specifications)."""
-        return (
-            self.rho_base == self.q_base and self.rho_tower == self.q_tower
-        )
+        return self.rho_base == self.q_base
 
     def lifted(self, n: int) -> "RhoQParams":
         """The pair (rho^(p^n), q^(p^n)), used by the restriction identity."""
         if n < 0:
             raise ValueError("lift exponent must be >= 0")
-        return replace(self, rho_tower=self.rho_tower + n, q_tower=self.q_tower + n)
+        return replace(self, tower=self.tower + n)
 
     def describe(self) -> dict:
+        tower = "^(p^%d)" % self.tower if self.tower else ""
         return {
             "p": self.prime,
-            "rho": str(self.rho_base) + ("^(p^%d)" % self.rho_tower if self.rho_tower else ""),
-            "q": str(self.q_base) + ("^(p^%d)" % self.q_tower if self.q_tower else ""),
+            "rho": str(self.rho_base) + tower,
+            "q": str(self.q_base) + tower,
             "precision": self.precision,
         }
 
@@ -157,8 +149,9 @@ class RhoQParams:
 # ---------------------------------------------------------------------------
 
 
-#: entries per calculus memo table; the tables are keyed by the parameter
-#: pair, so a long-lived process that sees many pairs must not keep them all.
+#: entries per memo table ([p^N] here, the lowered normal forms in
+#: integration); the tables are keyed by the parameter pair, so a long-lived
+#: process that sees many pairs must not keep them all.
 MEMO_SIZE = 4096
 
 
@@ -176,12 +169,6 @@ def _bracket_residue(rho: int, q: int, n: int, mod: int) -> int:
     return acc
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _deformed_integer_residue(params: RhoQParams, n: int, w: int) -> int:
-    """Sum rho^i q^(n-1-i), i = 0..n-1, as a residue mod p^w."""
-    return _bracket_residue(params.rho_residue(w), params.q_residue(w), n, params.prime**w)
-
-
 def rhoq_integer(n: int, params: RhoQParams, digits: int | None = None) -> PadicNumber:
     """[n] for a nonnegative integer n (exact at ρ = q)."""
     if n < 0:
@@ -190,7 +177,7 @@ def rhoq_integer(n: int, params: RhoQParams, digits: int | None = None) -> Padic
     w = digits if digits is not None else params.precision
     if n == 0:
         return PadicNumber.exact_zero(p)
-    res = _deformed_integer_residue(params, n, w)
+    res = _bracket_residue(params.rho_residue(w), params.q_residue(w), n, p**w)
     return PadicNumber.from_integer(res, p, w) if res else PadicNumber.bounded_zero(p, w)
 
 
@@ -221,20 +208,15 @@ def p_power_bracket(params: RhoQParams, N: int, digits: int | None = None) -> Pa
     return PadicNumber.from_integer(res, p, w) if res else PadicNumber.bounded_zero(p, w)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _factorial_cached(params: RhoQParams, n: int, w: int) -> PadicNumber:
+def rhoq_factorial(n: int, params: RhoQParams, digits: int | None = None) -> PadicNumber:
+    """[n]! = [1][2]...[n]."""
+    if n < 0:
+        raise ValueError("factorial defined for n >= 0")
+    w = digits if digits is not None else params.precision
     acc = PadicNumber.one(params.prime, w)
     for j in range(1, n + 1):
         acc = acc * rhoq_integer(j, params, w)
     return acc
-
-
-def rhoq_factorial(n: int, params: RhoQParams, digits: int | None = None) -> PadicNumber:
-    """[n]! = [1][2]...[n]; memoized (Mahler evaluations query these repeatedly)."""
-    if n < 0:
-        raise ValueError("factorial defined for n >= 0")
-    w = digits if digits is not None else params.precision
-    return _factorial_cached(params, n, w)
 
 
 def vp_factorial(n: int, p: int) -> int:
@@ -266,7 +248,7 @@ def rhoq_binomial(n: int, k: int, params: RhoQParams, digits: int | None = None)
     num = PadicNumber.one(p, w)
     for j in range(k):
         num = num * rhoq_integer(n - j, params, w)
-    return div(num, rhoq_factorial(k, params, w), budget=None)
+    return div(num, rhoq_factorial(k, params, w))
 
 
 def binomial_triangle(

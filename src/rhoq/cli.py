@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from typing import NoReturn
 
-from .audit import AUDIT_ALIASES, AUDIT_IDS, AuditConfig, exit_code, report_to_json, run_audits
+from .audit import AUDIT_ALIASES, AUDIT_IDS, AuditConfig, exit_code, level_window
+from .audit import params_from_specs, parse_rational, report_to_json, run_audits, tolerance_for
+from .calculus import RhoQParams
 from .integration import (
     IntegrableFunction,
     WeightedDistribution,
@@ -32,7 +33,7 @@ from .integration import (
     volkenborn_integral,
 )
 from .mahler import mahler_coefficients
-from .measures import Ball, RhoQHaar, check_invariance, radon_nikodym_derivative
+from .measures import Ball, Distribution, RhoQHaar, check_invariance, radon_nikodym_derivative
 from .padic import PadicError
 
 #: exit status of a malformed invocation or a library error
@@ -55,7 +56,7 @@ def parse_function(spec: str) -> IntegrableFunction:
         if s == "1":
             return const(1)
         if s.startswith("const:"):
-            return const(Fraction(s.split(":", 1)[1]))
+            return const(parse_rational(s.split(":", 1)[1]))
         if s == "x":
             return coordinate()
         if s.startswith("x^"):
@@ -70,7 +71,7 @@ def parse_function(spec: str) -> IntegrableFunction:
         if s == "qrho^x":
             return ratio_exponential()
         if s.startswith("exp:"):
-            return exponential(Fraction(s.split(":", 1)[1]))
+            return exponential(parse_rational(s.split(":", 1)[1]))
         if s.startswith("mixed:"):
             a, n = s.split(":", 1)[1].split(",")
             return mixed_power(int(a), int(n))
@@ -230,33 +231,22 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     n_min, n_max = _levels(args.levels)
-    cfg = AuditConfig(
-        p=args.p,
-        precision=args.prec,
-        rho_spec=str(args.rho),
-        q_spec=str(args.q),
-        n_min=n_min,
-        n_max=n_max,
-        seed=args.seed,
-        tolerance_exponent=args.tol,
-    )
-    params = cfg.params()
-    levels = range(n_min, n_max + 1)
+    if args.command == "audit":
+        return _run_audit(args, n_min, n_max)
+    # the audit's n_max <= precision - SAFETY_MARGIN binds audits only
+    levels = level_window(n_min, n_max)
+    params = params_from_specs(args.p, args.prec, str(args.rho), str(args.q))
 
     if args.command == "measure":
-        dist = (
-            WeightedDistribution(parse_function(args.weight), params, cfg.precision)
-            if args.weight
-            else RhoQHaar(params, cfg.precision)
-        )
+        dist = _distribution(args, params)
         if args.invariance:
-            report = check_invariance(dist, levels, seed=cfg.seed)
+            report = check_invariance(dist, levels, seed=args.seed)
             _emit({"invariance": report.describe()}, args.out)
             return 0
         if not args.ball:
             _build_parser().error("measure needs --ball A N (or --invariance)")
         a, n = args.ball
-        ball = Ball(cfg.p, a, n)
+        ball = Ball(args.p, a, n)
         value = dist.value(ball)
         _emit(
             {
@@ -271,43 +261,47 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "integrate":
         f = parse_function(args.function)
-        seq = volkenborn_integral(
-            f, params, levels, digits=cfg.precision, target_exponent=args.tol
-        )
+        seq = volkenborn_integral(f, params, levels, digits=args.prec, target_exponent=args.tol)
         _emit({"function": f.describe(), "sequence": seq.describe()}, args.out)
         return 0
 
     if args.command == "bernoulli":
-        seq = carlitz_bernoulli(args.n, args.a, params, levels, digits=cfg.precision)
+        seq = carlitz_bernoulli(args.n, args.a, params, levels, digits=args.prec)
         payload = {"n": args.n, "a": args.a, "sequence": seq.describe()}
         if args.compare and args.n == 0:
             payload["printed_formula_comparison"] = bernoulli_comparison_report(
-                args.a, params, levels, digits=cfg.precision
+                args.a, params, levels, digits=args.prec
             )
         _emit(payload, args.out)
         return 0
 
     if args.command == "mahler":
         f = parse_function(args.function)
-        series = mahler_coefficients(f, args.order, params, digits=cfg.precision)
+        series = mahler_coefficients(f, args.order, params, digits=args.prec)
         _emit({"function": f.describe(), "series": series.describe()}, args.out)
         return 0
 
-    if args.command == "rn-deriv":
-        dist = (
-            WeightedDistribution(parse_function(args.weight), params, cfg.precision)
-            if args.weight
-            else RhoQHaar(params, cfg.precision)
-        )
-        seq = radon_nikodym_derivative(dist, args.x, levels, cfg.tolerance)
-        _emit({"x": args.x, "family": dist.describe(), "sequence": seq.describe()}, args.out)
-        return 0
+    # rn-deriv
+    dist = _distribution(args, params)
+    seq = radon_nikodym_derivative(dist, args.x, levels, tolerance_for(args.prec, args.tol))
+    _emit({"x": args.x, "family": dist.describe(), "sequence": seq.describe()}, args.out)
+    return 0
 
-    # audit
-    selector = args.selector
-    if selector != "all":
-        selector = AUDIT_ALIASES.get(selector, selector)
-        cfg = AuditConfig(**{**cfg.__dict__, "theorems": (selector,)})
+
+def _distribution(args: argparse.Namespace, params: RhoQParams) -> Distribution:
+    """The family weighted by --weight, else the deformed Haar distribution."""
+    if args.weight:
+        return WeightedDistribution(parse_function(args.weight), params, args.prec)
+    return RhoQHaar(params, args.prec)
+
+
+def _run_audit(args: argparse.Namespace, n_min: int, n_max: int) -> int:
+    selector = AUDIT_ALIASES.get(args.selector, args.selector)
+    cfg = AuditConfig(
+        p=args.p, precision=args.prec, rho_spec=str(args.rho), q_spec=str(args.q),
+        n_min=n_min, n_max=n_max, seed=args.seed, tolerance_exponent=args.tol,
+        theorems=AUDIT_IDS if selector == "all" else (selector,),
+    )
     report = run_audits(cfg)
     if args.out == "json":
         print(report_to_json(report))

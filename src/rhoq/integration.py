@@ -51,14 +51,13 @@ class IntegrableFunction:
     """A function on Z_p with a structure tag, evaluable at each point.
 
     Tags: poly_x (polynomial in x; constants too), poly_bracket (polynomial
-    in [x]), exponential (c^x; c = q/rho when use_ratio_base), mixed
+    in [x]), exponential (c^x; c = q/rho when base is None), mixed
     (rho^(a x) [x]^n), mahler (Gaussian-binomial series), product, sum.
     """
 
     tag: str
     coeffs: tuple = ()
     base: Fraction | None = None
-    use_ratio_base: bool = False
     a: int = 0
     n: int = 0
     parts: tuple = ()
@@ -83,7 +82,7 @@ class IntegrableFunction:
                 power = power * bx
             return acc
         if self.tag == "exponential":
-            if self.use_ratio_base:
+            if self.base is None:
                 base = PadicNumber(p, 0, params.ratio_residue(digits), digits)
             else:
                 base = PadicNumber.from_fraction(self.base, p, digits)
@@ -149,7 +148,7 @@ def bracket_power(k: int) -> IntegrableFunction:
 
 
 def ratio_exponential() -> IntegrableFunction:
-    return IntegrableFunction("exponential", use_ratio_base=True, label="(q/rho)^x")
+    return IntegrableFunction("exponential", label="(q/rho)^x")
 
 
 def exponential(base: Fraction | int) -> IntegrableFunction:
@@ -236,11 +235,9 @@ def lower(f: IntegrableFunction, params: RhoQParams, w: int) -> NormalForm:
     raised part by part, in the order of the parts.
     """
     p = params.prime
-    # ν(a^(p^t) - b^(p^t)) = ν(a - b) + t on 1 + pZ_p: only the tower gap is raised
-    t0 = min(params.rho_tower, params.q_tower)
-    diff = (params.rho_base ** p ** (params.rho_tower - t0)
-            - params.q_base ** p ** (params.q_tower - t0))
-    nu = vp(diff.numerator, p) + t0 if diff else None
+    # ν(a^(p^t) - b^(p^t)) = ν(a - b) + t on 1 + pZ_p, with a, b units
+    diff = params.rho_base - params.q_base
+    nu = vp(diff.numerator, p) + params.tower if diff else None
 
     def guard(g: IntegrableFunction) -> int:
         if g.tag in ("poly_bracket", "mixed", "mahler"):
@@ -301,7 +298,7 @@ def lower(f: IntegrableFunction, params: RhoQParams, w: int) -> NormalForm:
             return acc
         if tag == "poly_x":
             return 0, {1: [coeff(c) for c in g.coeffs]}
-        if tag == "exponential" and not g.use_ratio_base:
+        if tag == "exponential" and g.base is not None:
             base = coeff(g.base)
             if base % p != 1:  # c^x is continuous on Z_p only for c in 1 + pZ_p
                 raise DomainError("rhoq_power requires base in 1 + pZ_p")
@@ -453,7 +450,6 @@ def weighted_measure_sequence(
     inner_levels: Sequence[int],
     *,
     digits: int | None = None,
-    target_exponent: int | None = None,
 ) -> ApproximantSequence:
     """Ball value of the f-weighted measure via the restriction identity:
 
@@ -464,11 +460,9 @@ def weighted_measure_sequence(
     if not inner_levels or inner_levels[0] < 1:
         raise ValueError("inner levels must be >= 1")
     d = digits if digits is not None else params.precision
-    t = target_exponent if target_exponent is not None else max(2, d - 2)
     terms = _level_terms(f, params, inner_levels, d, ball.rep, ball.level, lifted=True)
-    return ApproximantSequence.build(
-        params.prime, terms, t, note="weighted measure of %s on %s" % (f.describe(), ball)
-    )
+    note = "weighted measure of %s on %s" % (f.describe(), ball)
+    return ApproximantSequence.build(params.prime, terms, max(2, d - 2), note=note)
 
 
 def weighted_measure_direct(
@@ -478,7 +472,6 @@ def weighted_measure_direct(
     depth: int,
     *,
     digits: int | None = None,
-    target_exponent: int | None = None,
 ) -> ApproximantSequence:
     """Ball value by restricted direct sums over x ≡ a (mod p^n), x < p^M.
 
@@ -487,11 +480,9 @@ def weighted_measure_direct(
     weighted_measure_sequence (same mathematical object, different arithmetic).
     """
     d = digits if digits is not None else params.precision
-    t = target_exponent if target_exponent is not None else max(2, d - 2)
     terms = _level_terms(f, params, range(1, depth + 1), d, ball.rep, ball.level)
-    return ApproximantSequence.build(
-        params.prime, terms, t, note="direct restricted sums of %s on %s" % (f.describe(), ball)
-    )
+    note = "direct restricted sums of %s on %s" % (f.describe(), ball)
+    return ApproximantSequence.build(params.prime, terms, max(2, d - 2), note=note)
 
 
 class WeightedDistribution(Distribution):
@@ -569,7 +560,7 @@ def bernoulli_comparison_report(
         note = "printed formula undefined: log(rho*q) vanishes at working precision"
     else:
         try:
-            ratio = div(log_r, log_rq, budget=None)
+            ratio = div(log_r, log_rq)
             printed = ratio * PadicNumber.from_integer(a, p, d) if a else PadicNumber.exact_zero(p)
         except PrecisionError:
             note = "printed formula not computable at working precision"
@@ -627,7 +618,6 @@ def integral_against_weighted(
     *,
     weighted: WeightedDistribution | None = None,
     digits: int | None = None,
-    target_exponent: int | None = None,
 ) -> IntegralComparison:
     """Riemann sums of g against the P-weighted measure vs the integral of gP.
 
@@ -636,7 +626,6 @@ def integral_against_weighted(
     """
     p = params.prime
     d = digits if digits is not None else params.precision
-    t = target_exponent if target_exponent is not None else max(2, d - 2)
     outer_levels = sorted(outer_levels)
     if weighted is None:
         weighted = WeightedDistribution(weight_poly, params, digits=d)
@@ -648,11 +637,9 @@ def integral_against_weighted(
             acc = acc + gi * weighted.value(Ball(p, i, m))
         terms.append((m, acc))
     lhs = ApproximantSequence.build(
-        p, terms, t, note="Riemann sums of %s against weighted measure" % g.describe()
+        p, terms, max(2, d - 2), note="Riemann sums of %s against weighted measure" % g.describe()
     )
-    rhs = volkenborn_integral(
-        product(g, weight_poly), params, outer_levels, digits=d, target_exponent=t
-    )
+    rhs = volkenborn_integral(product(g, weight_poly), params, outer_levels, digits=d)
     ratio = None
     note = ""
     r_lim = rhs.limit_estimate()
@@ -661,7 +648,7 @@ def integral_against_weighted(
         note = "rhs vanishes at working precision; ratio skipped"
     else:
         try:
-            ratio = div(l_lim, r_lim, budget=None)
+            ratio = div(l_lim, r_lim)
         except PrecisionError:
             note = "ratio not computable at working precision"
     return IntegralComparison(g.describe(), lhs, rhs, ratio, note)

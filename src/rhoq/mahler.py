@@ -26,7 +26,10 @@ class MahlerSeries:
 
     params: RhoQParams
     coefficients: list[PadicNumber]
-    basis: str = "gaussian"  # "classical" when rho = q = 1
+
+    @property
+    def basis(self) -> str:
+        return "classical" if self.params.is_classical else "gaussian"
 
     @property
     def order(self) -> int:
@@ -84,8 +87,7 @@ def mahler_coefficients(
             b = rows[i][n_idx]
             acc = acc - c * (b if b is not None else rhoq_binomial(i, n_idx, params, w))
         coeffs.append(acc)
-    basis = "classical" if params.is_classical else "gaussian"
-    return MahlerSeries(params, coeffs, basis)
+    return MahlerSeries(params, coeffs)
 
 
 def mahler_evaluate(series: MahlerSeries, x: int, digits: int | None = None) -> PadicNumber:

@@ -223,27 +223,21 @@ def parameter_gap_exponent(params: RhoQParams, n: int, w: int) -> int | float:
 
 
 def check_invariance(
-    dist: Distribution,
-    levels: Sequence[int],
-    sample_points: Sequence[int] | None = None,
-    *,
-    seed: int = 1,
-    decay_threshold: int = 2,
+    dist: Distribution, levels: Sequence[int], *, seed: int = 1
 ) -> InvarianceReport:
     """Classify a distribution by the decay of successive rescaled ball values.
 
     delta_N = max over sampled x of |[p^N] d(x + p^N Z_p) - [p^(N+1)] d(x + p^(N+1) Z_p)|.
     "-> 0" is operationalized as non-increasing over the window with the final
-    value below p^-decay_threshold.  The strong classification fits its
-    constant on the first half of the window and must hold on the second half.
+    value below p^-2.  The strong classification fits its constant on the
+    first half of the window and must hold on the second half.
     """
     levels = sorted(levels)
     if not levels:
         raise ValueError("levels must be nonempty")
     params = dist.params
     p = params.prime
-    if sample_points is None:
-        sample_points = default_sample_points(p, levels[0], levels[-1] + 1, seed)
+    sample_points = default_sample_points(p, levels[0], levels[-1] + 1, seed)
 
     deltas: list[Fraction] = []
     c_table: list[Fraction] = []
@@ -261,8 +255,8 @@ def check_invariance(
         deltas.append(worst)
         c_table.append(worst_c)
 
-    weakly = _decays(deltas, p, decay_threshold)
-    one_adm = _decays(c_table, p, decay_threshold)
+    weakly = _decays(deltas, p)
+    one_adm = _decays(c_table, p)
 
     strongly, fit_param, spread_param = _strong_fit(
         deltas, [parameter_gap_exponent(params, N, dist.digits + N + 2) for N in levels], p
@@ -299,10 +293,10 @@ def check_invariance(
     )
 
 
-def _decays(table: list[Fraction], p: int, threshold: int) -> bool:
+def _decays(table: list[Fraction], p: int) -> bool:
     if any(table[i] < table[i + 1] for i in range(len(table) - 1)):
         return False
-    return table[-1] <= Fraction(1, p**threshold)
+    return table[-1] <= Fraction(1, p**2)
 
 
 def _strong_fit(
@@ -350,18 +344,17 @@ def radon_nikodym_derivative(
     return ApproximantSequence.build(p, terms, t, note="rescaled ball values at x=%d" % x)
 
 
+#: pair budget of `lipschitz_estimate`: larger grids are sampled
+MAX_PAIRS = 20000
+
+
 def lipschitz_estimate(
-    f: Callable[[int], PadicNumber],
-    p: int,
-    level: int,
-    *,
-    max_pairs: int = 20000,
-    seed: int = 1,
+    f: Callable[[int], PadicNumber], p: int, level: int, *, seed: int = 1
 ) -> Fraction:
     """max |f(x) - f(y)| / |x - y| over sampled pairs x != y below p^level.
 
-    Exhaustive when the grid is small enough, else a seeded sample; this is
-    the difference-quotient sup taken over the grid.
+    Exhaustive up to MAX_PAIRS pairs, else a seeded sample of MAX_PAIRS;
+    this is the difference-quotient sup taken over the grid.
     """
     n = p**level
     if n < 2:
@@ -369,12 +362,12 @@ def lipschitz_estimate(
     values = {x: f(x) for x in range(n)}
     pairs: list[tuple[int, int]]
     total = n * (n - 1) // 2
-    if total <= max_pairs:
+    if total <= MAX_PAIRS:
         pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
     else:
         rng = random.Random(seed)
         pairs = []
-        while len(pairs) < max_pairs:
+        while len(pairs) < MAX_PAIRS:
             x = rng.randrange(n)
             y = rng.randrange(n)
             if x != y:

@@ -427,8 +427,9 @@ def norm(x: PadicNumber) -> Fraction:
     return x.norm()
 
 
-def div(x: PadicNumber, y: PadicNumber, budget: PrecisionBudget | None = None) -> PadicNumber:
-    """x / y.  Logs ν_p(y) lost digits to the given (or context-active) budget."""
+def div(x: PadicNumber, y: PadicNumber) -> PadicNumber:
+    """x / y.  Logs ν_p(y) lost digits to the budget of the active
+    `PrecisionBudget` context, if any."""
     p = _common_prime(x, y)
     if y.is_exact_zero:
         raise ZeroDivisionError("division by exact p-adic zero")
@@ -437,7 +438,7 @@ def div(x: PadicNumber, y: PadicNumber, budget: PrecisionBudget | None = None) -
             "divisor is indistinguishable from zero at working precision O(%d^%d)"
             % (p, y.val)
         )
-    budget = budget if budget is not None else active_budget()
+    budget = active_budget()
     if budget is not None:
         budget.record("div", y.val)
     if x.is_exact_zero:

@@ -40,7 +40,7 @@ def _aitken(a0: PadicNumber, a1: PadicNumber, a2: PadicNumber) -> PadicNumber | 
     if dd.is_zero_residue:
         return None
     try:
-        return a2 - div(d2 * d2, dd, budget=None)
+        return a2 - div(d2 * d2, dd)
     except PrecisionError:
         return None
 

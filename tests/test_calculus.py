@@ -158,17 +158,13 @@ class TestMemoTables:
         assert f.agrees(rhoq_factorial(2999, pr) * rhoq_integer(3000, pr))
 
     def test_tables_are_bounded(self):
-        from rhoq import calculus
+        from rhoq import calculus, integration
 
-        tables = [
-            calculus._deformed_integer_residue,
-            calculus._p_power_bracket_residue,
-            calculus._factorial_cached,
-        ]
+        tables = [calculus._p_power_bracket_residue, integration.lower]
         assert all(t.cache_info().maxsize == calculus.MEMO_SIZE for t in tables)
         for k in range(calculus.MEMO_SIZE + 10):
-            rhoq_integer(2, RhoQParams.from_offsets(5, k, 1, 4))
-        assert calculus._deformed_integer_residue.cache_info().currsize == calculus.MEMO_SIZE
+            calculus.p_power_bracket(RhoQParams.from_offsets(5, k, 1, 4), 1)
+        assert calculus._p_power_bracket_residue.cache_info().currsize == calculus.MEMO_SIZE
 
 
 class TestFactorialBinomial:

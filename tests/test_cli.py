@@ -2,6 +2,7 @@
 library errors."""
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -94,6 +95,13 @@ class TestMalformedInvocation:
         "negative-x-power": ["integrate", "--function", "x^-1"],
         "negative-bracket-power": ["integrate", "--function", "[x]^-1"],
         "negative-mixed-power": ["integrate", "--function", "mixed:1,-1", "--rho", "1"],
+        "zero-denominator-const": ["integrate", "--function", "const:1/0"],
+        "zero-denominator-exp": ["integrate", "--function", "exp:0/0"],
+    }
+    # a parameter spec is read by the library, so main returns 3 rather than raising
+    PARAMETER_CASES = {
+        "zero-denominator-rho": ["integrate", "--function", "x", "--rho", "1/0"],
+        "zero-denominator-q": ["integrate", "--function", "x", "--q", "0/0"],
     }
 
     @pytest.mark.parametrize("argv", CASES.values(), ids=CASES.keys())
@@ -105,7 +113,46 @@ class TestMalformedInvocation:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("rhoq: error: ")
 
+    @pytest.mark.parametrize("argv", PARAMETER_CASES.values(), ids=PARAMETER_CASES.keys())
+    def test_bad_parameter_exits_3_with_one_line(self, argv, capsys):
+        assert main(argv) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "rhoq: error: zero denominator in %r\n" % argv[-1])
+
     def test_fresh_process(self):
         code, out, err = fresh_process(["audit", "bogus"])
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("rhoq: error: argument selector")
+
+
+class TestLevelRule:
+    """n_max <= precision - 4 keeps the audits' deepest level clear of the
+    working precision; it binds `audit` only."""
+
+    COMMANDS = {
+        "mahler-reads-no-levels": ["mahler", "--function", "x", "--order", "3", "--prec", "8"],
+        "integrate": ["integrate", "--function", "x", "--levels", "1:9"],
+        "rn-deriv": ["rn-deriv", "--x", "7", "--levels", "1:9"],
+    }
+
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+    def test_other_commands_run(self, argv):
+        code, out = in_process(argv)
+        assert code == 0
+        payload = json.loads(out)
+        if "sequence" in payload:
+            assert payload["sequence"]["levels"] == list(range(1, 10))
+
+    def test_audit_refuses_a_deep_window(self, capsys):
+        assert main(["audit", "all", "--levels", "1:9"]) == EXIT_ERROR
+        assert capsys.readouterr() == (
+            "",
+            "rhoq: error: level window too deep for the precision: need n_max <= precision - 4\n",
+        )
+
+    @pytest.mark.parametrize("window", ["0:3", "3:1"])
+    def test_empty_or_sub_one_windows_are_refused_everywhere(self, window, capsys):
+        commands = (["audit", "all"], ["integrate", "--function", "x"], ["mahler", "--function", "x"])
+        for argv in commands:
+            assert main(argv + ["--levels", window]) == EXIT_ERROR
+            assert capsys.readouterr() == ("", "rhoq: error: need 1 <= n_min <= n_max\n")

@@ -15,6 +15,7 @@ from rhoq.integration import (
     exponential,
     integral_against_weighted,
     linear_combination,
+    lower,
     mahler_function,
     mixed_power,
     poly_in_bracket,
@@ -26,7 +27,7 @@ from rhoq.integration import (
     weighted_measure_direct,
     weighted_measure_sequence,
 )
-from rhoq.measures import Ball, rhoq_haar_measure
+from rhoq.measures import Ball, parameter_gap_exponent, rhoq_haar_measure
 from rhoq.padic import PadicNumber, padic_from_fraction, padic_from_integer
 
 from .oracles import (
@@ -96,6 +97,33 @@ class TestEngine:
                 pr.q / pr.rho, x, 10
             )
             assert direct.agrees(expected, 9)
+
+
+class TestGuardDigits:
+    """`lower` reads nu(rho' - q') at parameters lifted by n off the bases and
+    the shared tower; the residues must see the same gap."""
+
+    PAIRS = {
+        "nu=1": (1, Fraction(6), Fraction(11)),
+        "nu=2": (2, Fraction(6, 11), Fraction(6, 11) + 25),
+        "nu=3": (3, Fraction(26, 31), Fraction(26, 31) - 250),
+    }
+
+    @pytest.mark.parametrize("nu,rho,q", PAIRS.values(), ids=PAIRS.keys())
+    def test_bracket_guard_is_k_times_the_lifted_gap(self, nu, rho, q):
+        pr = RhoQParams.from_units(5, rho, q, 10)
+        w = 8
+        for n in range(4):
+            gap = parameter_gap_exponent(pr, n, w + 10)
+            assert gap == parameter_gap_exponent(pr.lifted(n), 0, w + 10) == nu + n
+            for k in range(4):
+                assert lower(bracket_power(k), pr.lifted(n), w).W - w == k * gap
+
+    @pytest.mark.parametrize("rho", [Fraction(1), Fraction(6, 11)], ids=["classical", "symmetric"])
+    def test_no_guard_at_rho_equal_q(self, rho):
+        pr = RhoQParams.from_units(5, rho, rho, 10)
+        for n in range(4):
+            assert lower(bracket_power(3), pr.lifted(n), 8).W == 8
 
 
 class TestConstantFunction:
