@@ -149,9 +149,10 @@ class RhoQParams:
 # ---------------------------------------------------------------------------
 
 
-#: entries per memo table ([p^N] here, the lowered normal forms in
-#: integration); the tables are keyed by the parameter pair, so a long-lived
-#: process that sees many pairs must not keep them all.
+#: entries per memo table ([p^N] here; the lowered normal forms, the moment
+#: tables and the per-level factors in integration); the tables are keyed by
+#: the parameter pair, so a long-lived process that sees many pairs must not
+#: keep them all.
 MEMO_SIZE = 4096
 
 

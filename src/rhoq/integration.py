@@ -5,8 +5,10 @@ interest are limits, and auditing them needs the rates, not just a value.
 
 Every integrand is an exponential polynomial: with
 [x] = (rho^x - q^x)/(rho - q), or x q^(x-1) at rho = q, `lower` writes it
-once as p^-v sum P_b(x) b^x with residue coefficients, and the level sums
-run one loop over its bases.
+once as p^-v sum P_b(x) b^x with residue coefficients.  The level sums
+over x = a + p^n y read one moment table per (integrand, step), the sums
+of y^k C^y with C = (b q/rho)^(p^n), which does not depend on a: the p^n
+balls of a level share one pass over the points.
 A general continuous f reaches the integrals the paper's way, through its
 Mahler expansion: `mahler_coefficients` -> `mahler_function`, a series in
 the Gaussian binomials, which lowers like every other family.
@@ -25,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .calculus import (
@@ -330,6 +333,47 @@ def lower(f: IntegrableFunction, params: RhoQParams, w: int) -> NormalForm:
     return NormalForm(nf[0], W, terms, max(deficiency, 0), ratio)
 
 
+#: points per step of the moment-table fill (bounds its working lists)
+BLOCK = 1024
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _moment_table(
+    f: IntegrableFunction, params: RhoQParams, w: int, step: int, max_level: int
+) -> tuple[NormalForm, tuple]:
+    """f's normal form and, per base b, T[m][k] = sum over y < p^m of
+    y^k C^y mod p^W with C = (b q/rho)^step, for m = 0..max_level.
+
+    Nothing here depends on a progression's shift, so every ball of a level
+    reads its sums off one table.  One pass over y < p^max_level adds up the
+    exact products C^y y^k and reduces mod p^W at the level ends only.
+    """
+    nf = lower(f, params, w)
+    params.require_digits(w)
+    p, mod = params.prime, params.prime**nf.W
+    tables = []
+    for base, coeffs in nf.terms:
+        c = pow(base * nf.ratio % mod, step, mod)
+        powers = [1]  # C^j for j < BLOCK: the points run through in blocks
+        for _ in range(min(BLOCK, p**max_level) - 1):
+            powers.append(powers[-1] * c % mod)
+        sums, rows, e, start = [0] * len(coeffs), [], 1, 0  # e = C^start
+        for end in (p**m for m in range(max_level + 1)):
+            for lo in range(start, end, BLOCK):
+                ys = range(lo, min(lo + BLOCK, end))
+                terms = [e * x for x in powers[: len(ys)]]  # C^y y^k over ys, k = 0, 1, ...
+                sums[0] += sum(terms)
+                for k in range(1, len(sums)):
+                    terms = list(map(mul, terms, ys))
+                    sums[k] += sum(terms)
+                e = e * pow(c, len(ys), mod) % mod
+            start = end
+            sums = [x % mod for x in sums]
+            rows.append(tuple(sums))
+        tables.append(tuple(rows))
+    return nf, tuple(tables)
+
+
 def progression_sums(
     f: IntegrableFunction,
     params: RhoQParams,
@@ -339,48 +383,53 @@ def progression_sums(
     w: int,
 ) -> tuple[list[int], int]:
     """W(m) = sum over y < p^m of f(shift + step y) * (q/rho)^(shift + step y),
-    as residues mod p^w, for m = 0..max_level (single pass, nested sums).
+    as residues mod p^w, for m = 0..max_level (nested sums).
 
     Returns (sums, deficiency): the sums are sound mod p^(w - deficiency),
     where the deficiency accounts for inputs known to fewer than w digits.
 
     f is lowered once (memoized) to p^-v sum P_b(x) b^x.  The weight folds
-    into every base, each base runs its powers b^(shift + step y) once (with
-    Horner in x when P_b has degree > 0), the level ends record the partial
-    sums, and the total is divided by p^v exactly.
+    into every base; with Q_b(y) = P_b(shift + step y) = sum a_k y^k (a
+    Taylor shift, O(deg^2)), a level sum is b^shift sum_k a_k T_b[m][k] over
+    the shift-free moment table T of `_moment_table`, and the total is
+    divided by p^v exactly.
     """
     p = params.prime
-    ends = [p**m for m in range(max_level + 1)]
-    nf = lower(f, params, w)
-    params.require_digits(w)
+    nf, tables = _moment_table(f, params, w, step, max_level)
     mod = p**nf.W
-    out = [0] * len(ends)
-    for base, coeffs in nf.terms:
-        b = base * nf.ratio % mod
-        e, e_step = pow(b, shift, mod), pow(b, step, mod)
-        scale = coeffs[0] if len(coeffs) == 1 else 1
-        acc = y = 0
-        for m, end in enumerate(ends):
-            if len(coeffs) == 1:
-                for _ in range(y, end):
-                    acc += e
-                    e = e * e_step % mod
-            else:
-                for x in range(shift + step * y, shift + step * end, step):
-                    v = 0
-                    for c in coeffs:
-                        v = (v * x + c) % mod
-                    acc += v * e
-                    e = e * e_step % mod
-            acc %= mod
-            out[m] += scale * acc
-            y = end
+    out = [0] * (max_level + 1)
+    for (base, coeffs), rows in zip(nf.terms, tables):
+        a: list[int] = []  # Q_b, lowest degree first: Horner, a <- a (shift + step y) + c
+        for c in coeffs:
+            a = [(shift * x + step * y) % mod for x, y in zip(a + [0], [0] + a)]
+            a[0] = (a[0] + c) % mod
+        scale = pow(base * nf.ratio % mod, shift, mod)
+        for m, row in enumerate(rows):
+            out[m] += scale * sum(map(mul, a, row))
     return [s % mod // p**nf.v % p**w for s in out], nf.deficiency
 
 
 # ---------------------------------------------------------------------------
 # the integral and the weighted measures
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _level_factors(
+    params: RhoQParams, levels: tuple[int, ...], n: int, known: int, lifted: bool
+) -> tuple[PadicNumber | None, tuple[tuple[PadicNumber, PadicNumber], ...]]:
+    """What `_level_terms` multiplies every ball of level n by, at `known`
+    digits: [p^n] (lifted only) and, per m in levels, rho'^(p^M) and [p^M]'."""
+    p, mod = params.prime, params.prime**known
+    at = params.lifted(n) if lifted else params
+    rho = at.rho_residue(known)
+    outer = p_power_bracket(params, n, known) if lifted else None
+    factors = []
+    for m in levels:
+        M = m if lifted else n + m
+        scale = PadicNumber(p, 0, pow(rho, p**M, mod), known)
+        factors.append((scale, p_power_bracket(at, M, known)))
+    return outer, tuple(factors)
 
 
 def _level_terms(
@@ -398,24 +447,24 @@ def _level_terms(
     At the given parameters M = n + m: the plain integral (n = 0) and the
     direct restricted sums.  With lifted, M = m at params.lifted(n), times
     1/[p^n]: the restriction identity.  The sums are taken once, to
-    w = d + n + top + 1 digits, and are sound to w - deficiency.
+    w = d + n + top + 1 digits, and are sound to w - deficiency.  The
+    factors that do not depend on the ball come from `_level_factors`; the
+    divisions and products stay per ball.
     """
     p = params.prime
+    levels = tuple(levels)
     top = max(levels, default=0)
     w = d + n + top + 1
     sums, deficiency = progression_sums(f, params, top, shift, p**n, w)
     known = w - deficiency
     mod = p**known
-    at = params.lifted(n) if lifted else params
-    rho = at.rho_residue(known)
-    outer = div(PadicNumber.one(p, known), p_power_bracket(params, n, known)) if lifted else None
+    bracket_n, factors = _level_factors(params, levels, n, known, lifted)
+    outer = div(PadicNumber.one(p, known), bracket_n) if lifted else None
     terms = []
-    for m in levels:
-        M = m if lifted else n + m
+    for m, (scale, bracket) in zip(levels, factors):
         s = sums[m] % mod
         s_p = PadicNumber.from_integer(s, p, known) if s else PadicNumber.bounded_zero(p, known)
-        scale = PadicNumber(p, 0, pow(rho, p**M, mod), known)
-        term = div(scale * s_p, p_power_bracket(at, M, known))
+        term = div(scale * s_p, bracket)
         terms.append((m, outer * term if lifted else term))
     return terms
 

@@ -160,7 +160,12 @@ class TestMemoTables:
     def test_tables_are_bounded(self):
         from rhoq import calculus, integration
 
-        tables = [calculus._p_power_bracket_residue, integration.lower]
+        tables = [
+            calculus._p_power_bracket_residue,
+            integration.lower,
+            integration._moment_table,
+            integration._level_factors,
+        ]
         assert all(t.cache_info().maxsize == calculus.MEMO_SIZE for t in tables)
         for k in range(calculus.MEMO_SIZE + 10):
             calculus.p_power_bracket(RhoQParams.from_offsets(5, k, 1, 4), 1)

@@ -34,13 +34,24 @@ from rhoq.measures import Ball
 GOLDEN = Path(__file__).parent / "golden" / "audit_all_p3_prec12_levels1-5_tol5_seed11.json"
 ARGV = ["audit", "all", "--p", "3", "--prec", "12", "--levels", "1:5", "--tol", "5", "--seed", "11"]
 DEEP = Path(__file__).parent / "golden" / "deep_integrals_p5_prec40_levels1-7.json"
+# `rhoq audit all` with every option at its default (p = 5, precision 12, levels 1:5, seed 1)
+DEFAULT = Path(__file__).parent / "golden" / "audit_all_default_p5_prec12_levels1-5_seed1.json"
+
+
+def _audit(argv: list[str]) -> bytes:
+    """stdout of `rhoq <argv>` in a fresh process, which must exit 0 and print nothing else."""
+    env = dict(os.environ, PYTHONPATH=str(Path(rhoq.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "rhoq.cli", *argv], capture_output=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    return proc.stdout
 
 
 def test_audit_report_is_byte_identical_to_golden():
-    env = dict(os.environ, PYTHONPATH=str(Path(rhoq.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "rhoq.cli", *ARGV], capture_output=True, env=env)
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    assert proc.stdout == GOLDEN.read_bytes()
+    assert _audit(ARGV) == GOLDEN.read_bytes()
+
+
+def test_default_audit_report_is_byte_identical_to_golden():
+    assert _audit(["audit", "all"]) == DEFAULT.read_bytes()
 
 
 REGIMES = {

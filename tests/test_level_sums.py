@@ -1,7 +1,8 @@
 """progression_sums against exact Fraction sums, over random primes,
 parameters (classical, rho = q != 1, nu(rho - q) up to 4), progressions and
 integrand families, Mahler series with coefficients known to few digits
-included."""
+included; and one process that reads many progressions off the shared
+moment tables."""
 
 from fractions import Fraction
 
@@ -97,3 +98,27 @@ def test_progression_sums_match_exact_sums(data):
     exact = progression_partial_sums(values, rho, q, shift, p**n, [p**m for m in range(levels + 1)])
     k = w - deficiency
     assert [s % p**k for s in sums] == [rat_mod(e, p, k) for e in exact]
+
+
+def test_moment_tables_serve_every_shift_and_no_other_call():
+    """Every shift a < p^n at step p^n, in one process, interleaved with calls
+    for the same f and parameters at a second step, a second w and a second
+    max_level, each against the exact sums.  The smaller w comes first, so a
+    table keyed without w (or without step) hands a later call another
+    call's sums."""
+    p, rho, q, n = 3, Fraction(4), Fraction(7), 2
+    f = linear_combination(
+        [1, Fraction(1, 2)], [product(poly_in_x([3, 1, 4]), exponential(4)), bracket_power(2)]
+    )
+
+    def value(x):
+        return (3 + x + 4 * x**2) * Fraction(4) ** x + bracket(x, rho, q) ** 2 / 2
+
+    params = RhoQParams.from_units(p, rho, q, 12)
+    for a in range(p**n):
+        # (max_level, step, w)
+        for levels, step, w in ((2, p**n, 5), (2, p**n, 9), (2, p, 9), (3, p**n, 9)):
+            sums, deficiency = progression_sums(f, params, levels, a, step, w)
+            assert deficiency == 0
+            exact = progression_partial_sums(value, rho, q, a, step, [p**m for m in range(levels + 1)])
+            assert sums == [rat_mod(e, p, w) for e in exact], (a, levels, step, w)
