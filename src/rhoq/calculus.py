@@ -3,7 +3,9 @@
 Deformed integers [n] = (rho^n - q^n)/(rho - q) are never evaluated through
 the quotient: binary splitting with [2m] = [m](rho^m + q^m) and
 [m+1] = rho^m + q[m] takes O(log n) products and no division, so rho = q is
-not a degenerate case and no division precision is lost.  Powers rho^x for
+not a degenerate case and no division precision is lost.  The bracket
+[p^N] that normalises every Haar ball value is rhoq_integer(p**N), about
+N log2(p) products; nothing here is memoized.  Powers rho^x for
 p-adic exponents x are defined by continuity: the result mod p^m only
 depends on x mod p^m (one digit of slack against the sharp p^(m-1) bound,
 which keeps the reduction rule trivial to state and test).
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 
 from .padic import (
     DomainError,
@@ -149,13 +150,6 @@ class RhoQParams:
 # ---------------------------------------------------------------------------
 
 
-#: entries per memo table ([p^N] here; the lowered normal forms, the moment
-#: tables and the per-level factors in integration); the tables are keyed by
-#: the parameter pair, so a long-lived process that sees many pairs must not
-#: keep them all.
-MEMO_SIZE = 4096
-
-
 def _bracket_residue(rho: int, q: int, n: int, mod: int) -> int:
     """[n] for the residues rho, q, mod `mod`, by binary splitting over the bits of n."""
     acc, rho_m, q_m = 0, 1, 1  # [m], rho^m, q^m for the prefix m of n's bits
@@ -179,33 +173,6 @@ def rhoq_integer(n: int, params: RhoQParams, digits: int | None = None) -> Padic
     if n == 0:
         return PadicNumber.exact_zero(p)
     res = _bracket_residue(params.rho_residue(w), params.q_residue(w), n, p**w)
-    return PadicNumber.from_integer(res, p, w) if res else PadicNumber.bounded_zero(p, w)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _p_power_bracket_residue(params: RhoQParams, N: int, w: int) -> int:
-    """Tower product [p^N] = prod_k [p] at (rho^(p^k), q^(p^k)), k < N."""
-    p, mod = params.prime, params.prime**w
-    rho, q = params.rho_residue(w), params.q_residue(w)
-    acc = 1
-    for _ in range(N):
-        acc = acc * _bracket_residue(rho, q, p, mod) % mod
-        rho, q = pow(rho, p, mod), pow(q, p, mod)
-    return acc
-
-
-def p_power_bracket(params: RhoQParams, N: int, digits: int | None = None) -> PadicNumber:
-    """[p^N] via the tower product of single-level brackets at lifted parameters.
-
-    Equal to rhoq_integer(p**N, ...) by a different route (N products of
-    [p] at p-power-lifted parameters, not binary splitting over the bits of
-    p^N); the two paths are cross-validated in the test suite.
-    """
-    p = params.prime
-    w = digits if digits is not None else params.precision
-    if N == 0:
-        return PadicNumber.one(p, w)
-    res = _p_power_bracket_residue(params, N, w)
     return PadicNumber.from_integer(res, p, w) if res else PadicNumber.bounded_zero(p, w)
 
 

@@ -147,7 +147,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _levels(arg: str) -> tuple[int, int]:
     lo, _, hi = arg.partition(":")
-    return int(lo), int(hi)
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ValueError("--levels takes NMIN:NMAX, two integers; got %r" % arg) from None
 
 
 def _emit(payload: dict, out: str) -> None:

@@ -31,10 +31,8 @@ from operator import mul
 from typing import Sequence
 
 from .calculus import (
-    MEMO_SIZE,
     RhoQParams,
     _bracket_residue,
-    p_power_bracket,
     rhoq_binomial,
     rhoq_integer,
     rhoq_power,
@@ -227,7 +225,6 @@ def _nf_mul(a: tuple, b: tuple, mod: int) -> tuple:
     return a[0] + b[0], out
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def lower(f: IntegrableFunction, params: RhoQParams, w: int) -> NormalForm:
     """f as an exponential polynomial, for sums sound to w digits.
 
@@ -302,10 +299,10 @@ def lower(f: IntegrableFunction, params: RhoQParams, w: int) -> NormalForm:
         if tag == "poly_x":
             return 0, {1: [coeff(c) for c in g.coeffs]}
         if tag == "exponential" and g.base is not None:
-            base = coeff(g.base)
-            if base % p != 1:  # c^x is continuous on Z_p only for c in 1 + pZ_p
+            # c^x is continuous on Z_p only for c in 1 + pZ_p
+            if g.base.denominator % p == 0 or (g.base - 1).numerator % p:
                 raise DomainError("rhoq_power requires base in 1 + pZ_p")
-            return 0, {base: [1]}
+            return 0, {coeff(g.base): [1]}
         params.require_digits(w)  # the families below read rho and q
         if tag == "exponential":
             return 0, {ratio: [1]}
@@ -335,6 +332,11 @@ def lower(f: IntegrableFunction, params: RhoQParams, w: int) -> NormalForm:
 
 #: points per step of the moment-table fill (bounds its working lists)
 BLOCK = 1024
+
+#: entries per memo table (the moment tables and the per-level factors); the
+#: tables are keyed by the parameter pair, so a long-lived process that sees
+#: many pairs must not keep them all.
+MEMO_SIZE = 4096
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -388,10 +390,10 @@ def progression_sums(
     Returns (sums, deficiency): the sums are sound mod p^(w - deficiency),
     where the deficiency accounts for inputs known to fewer than w digits.
 
-    f is lowered once (memoized) to p^-v sum P_b(x) b^x.  The weight folds
-    into every base; with Q_b(y) = P_b(shift + step y) = sum a_k y^k (a
-    Taylor shift, O(deg^2)), a level sum is b^shift sum_k a_k T_b[m][k] over
-    the shift-free moment table T of `_moment_table`, and the total is
+    f is lowered once per moment table to p^-v sum P_b(x) b^x.  The weight
+    folds into every base; with Q_b(y) = P_b(shift + step y) = sum a_k y^k
+    (a Taylor shift, O(deg^2)), a level sum is b^shift sum_k a_k T_b[m][k]
+    over the shift-free moment table T of `_moment_table`, and the total is
     divided by p^v exactly.
     """
     p = params.prime
@@ -423,12 +425,12 @@ def _level_factors(
     p, mod = params.prime, params.prime**known
     at = params.lifted(n) if lifted else params
     rho = at.rho_residue(known)
-    outer = p_power_bracket(params, n, known) if lifted else None
+    outer = rhoq_integer(p**n, params, known) if lifted else None
     factors = []
     for m in levels:
         M = m if lifted else n + m
         scale = PadicNumber(p, 0, pow(rho, p**M, mod), known)
-        factors.append((scale, p_power_bracket(at, M, known)))
+        factors.append((scale, rhoq_integer(p**M, at, known)))
     return outer, tuple(factors)
 
 

@@ -90,21 +90,6 @@ def mahler_coefficients(
     return MahlerSeries(params, coeffs)
 
 
-def mahler_evaluate(series: MahlerSeries, x: int, digits: int | None = None) -> PadicNumber:
-    """sum a_n {x choose n}; binomials vanish for n > x by convention."""
-    if x < 0:
-        raise ValueError("x must be a nonnegative integer")
-    params = series.params
-    p = params.prime
-    d = digits if digits is not None else params.precision
-    acc = PadicNumber.exact_zero(p)
-    for n_idx, c in enumerate(series.coefficients):
-        if c.is_exact_zero or n_idx > x:
-            continue
-        acc = acc + c * rhoq_binomial(x, n_idx, params, d + 1)
-    return acc
-
-
 def truncation_polynomial(series: MahlerSeries, m: int) -> IntegrableFunction:
     """The order-m head of the series as an integrable polynomial-type function."""
     if m > series.order:

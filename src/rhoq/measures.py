@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import inf
 from typing import Callable, Sequence
 
-from .calculus import RhoQParams, p_power_bracket
+from .calculus import RhoQParams, rhoq_integer
 from .padic import PadicNumber, vp
 from .sequences import ApproximantSequence, gap_norm
 
@@ -74,7 +74,7 @@ class Distribution:
 
     def rescaled(self, ball: Ball) -> PadicNumber:
         """[p^N] * value(ball): the quantity whose limit is the density."""
-        scale = p_power_bracket(self.params, ball.level, self.digits + ball.level)
+        scale = rhoq_integer(ball.prime**ball.level, self.params, self.digits + ball.level)
         return scale * self.value(ball)
 
     def describe(self) -> dict:
@@ -96,7 +96,7 @@ def rhoq_haar_measure(ball: Ball, params: RhoQParams, digits: int | None = None)
     mod = p**w
     num = pow(params.rho_residue(w), p**N, mod) * pow(params.ratio_residue(w), ball.rep, mod) % mod
     numerator = PadicNumber(p, 0, num, w)
-    return numerator / p_power_bracket(params, N, w)
+    return numerator / rhoq_integer(p**N, params, w)
 
 
 class RhoQHaar(Distribution):

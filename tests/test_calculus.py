@@ -13,7 +13,7 @@ from rhoq.calculus import (
 )
 from rhoq.padic import DomainError, PadicNumber, padic_from_integer
 
-from .oracles import bracket_sum, bracket_sum_mod, gauss_binomial_pascal, rat_mod
+from .oracles import bracket, bracket_sum, bracket_sum_mod, gauss_binomial_pascal, rat_mod
 
 
 def params(p=5, rho_k=1, q_k=2, prec=12):
@@ -118,12 +118,28 @@ class TestDeformedInteger:
         assert lhs.agrees(rhs)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
-    def test_tower_helper_matches_summation(self, p):
-        from rhoq.calculus import p_power_bracket
-
-        pr = RhoQParams.from_offsets(p, 1, 2, 12)
-        for N in range(0, 5):
-            assert p_power_bracket(pr, N).agrees(rhoq_integer(p**N, pr))
+    def test_lifted_p_power_matches_definition(self, p):
+        # [p^N] at (rho^(p^t), q^(p^t)), the bracket the restriction identity
+        # divides by, against the exact rational [p^N] reduced mod p^w
+        pairs = [
+            (Fraction(1 + p), Fraction(1 + 2 * p, 1 + p)),  # deformed
+            (Fraction(1), Fraction(1)),  # classical
+            (Fraction(1 + 3 * p), Fraction(1 + 3 * p)),  # rho = q
+            (Fraction(1 + p), Fraction(1 + p + p**3)),  # ν(rho - q) = 3
+        ]
+        for rho, q in pairs:
+            pr = RhoQParams.from_units(p, rho, q, 12)
+            for t in range(3):
+                for N in range(5):
+                    exact = bracket(p**N, rho ** (p**t), q ** (p**t))
+                    for w in sorted({1, N, N + 1, 8} - {0}):
+                        got = rhoq_integer(p**N, pr.lifted(t), w)
+                        if w <= N:  # ν([p^N]) = N: nothing but a bounded zero is known
+                            assert got.is_zero_residue and not got.is_exact_zero
+                            assert got.abs_precision == w
+                        else:
+                            assert got.valuation == N
+                            assert got.residue(w) == rat_mod(exact, p, w)
 
 
 class TestBinarySplitting:
@@ -158,18 +174,14 @@ class TestMemoTables:
         assert f.agrees(rhoq_factorial(2999, pr) * rhoq_integer(3000, pr))
 
     def test_tables_are_bounded(self):
-        from rhoq import calculus, integration
+        from rhoq import integration
 
-        tables = [
-            calculus._p_power_bracket_residue,
-            integration.lower,
-            integration._moment_table,
-            integration._level_factors,
-        ]
-        assert all(t.cache_info().maxsize == calculus.MEMO_SIZE for t in tables)
-        for k in range(calculus.MEMO_SIZE + 10):
-            calculus.p_power_bracket(RhoQParams.from_offsets(5, k, 1, 4), 1)
-        assert calculus._p_power_bracket_residue.cache_info().currsize == calculus.MEMO_SIZE
+        tables = [integration._moment_table, integration._level_factors]
+        assert all(t.cache_info().maxsize == integration.MEMO_SIZE for t in tables)
+        f = integration.coordinate()
+        for k in range(integration.MEMO_SIZE + 10):
+            integration.progression_sums(f, RhoQParams.from_offsets(5, k, 1, 4), 1, 0, 1, 4)
+        assert integration._moment_table.cache_info().currsize == integration.MEMO_SIZE
 
 
 class TestFactorialBinomial:

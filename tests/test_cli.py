@@ -61,17 +61,27 @@ class TestErrorExit:
         assert captured.err == "rhoq: error: parameters only known to 12 digits; 14 requested\n"
 
     def test_value_error_exits_3(self, capsys):
-        assert main(["measure", "--ball", "3", "2", "--levels", "1:x"]) == EXIT_ERROR
-        assert len(capsys.readouterr().err.splitlines()) == 1
+        for levels in ("1:x", "5", "a:b"):
+            assert main(["measure", "--ball", "3", "2", "--levels", levels]) == EXIT_ERROR
+            assert capsys.readouterr().err == (
+                "rhoq: error: --levels takes NMIN:NMAX, two integers; got %r\n" % levels
+            )
 
     def test_exponential_base_outside_the_disc_is_refused(self, capsys):
-        # c^x is continuous on Z_p only for c in 1 + pZ_p; mahler says the same
-        for command in ("integrate", "mahler"):
-            assert main([command, "--function", "exp:2"]) == EXIT_ERROR
-            captured = capsys.readouterr()
-            assert (captured.out, captured.err) == (
-                "", "rhoq: error: rhoq_power requires base in 1 + pZ_p\n"
-            )
+        # c^x is continuous on Z_p only for c in 1 + pZ_p, whatever the command;
+        # 1/5 and 6/5 are not even p-adic units
+        for spec in ("exp:2", "exp:1/5", "exp:6/5"):
+            for argv in (
+                ["integrate", "--function", spec],
+                ["mahler", "--function", spec],
+                ["measure", "--ball", "3", "2", "--weight", spec],
+                ["rn-deriv", "--x", "3", "--weight", spec],
+            ):
+                assert main(argv) == EXIT_ERROR, argv
+                captured = capsys.readouterr()
+                assert (captured.out, captured.err) == (
+                    "", "rhoq: error: rhoq_power requires base in 1 + pZ_p\n"
+                ), argv
 
     def test_no_traceback_from_a_fresh_process(self):
         code, out, err = fresh_process(self.ARGV)

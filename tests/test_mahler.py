@@ -16,7 +16,6 @@ from rhoq.mahler import (
     difference_quotient_norm_grid,
     lipschitz_norm_grid,
     mahler_coefficients,
-    mahler_evaluate,
     sup_norm_grid,
     truncation_polynomial,
 )
@@ -196,23 +195,17 @@ class TestRoundtrip:
         pr = params(prec=12)
         order = 10
         series = mahler_coefficients(f, order, pr)
+        head = truncation_polynomial(series, series.order)
         for i in range(order + 1):
-            assert mahler_evaluate(series, i).agrees(f.evaluate(i, pr, 12), 10)
+            assert head.evaluate(i, pr, 12).agrees(f.evaluate(i, pr, 12), 10)
 
     def test_empty_series_evaluates_to_zero(self):
         pr = params()
         series = MahlerSeries(pr, [])
-        assert mahler_evaluate(series, 3).is_exact_zero
+        assert truncation_polynomial(series, series.order).evaluate(3, pr, 12).is_exact_zero
 
 
 class TestTruncation:
-    def test_full_length_equals_evaluate(self):
-        pr = params(prec=12)
-        series = mahler_coefficients(ratio_exponential(), 8, pr)
-        f_m = truncation_polynomial(series, 8)
-        for x in (0, 3, 8, 12):
-            assert f_m.evaluate(x, pr, 10).agrees(mahler_evaluate(series, x, 10), 9)
-
     def test_order_zero_is_constant(self):
         pr = params(prec=12)
         f = ratio_exponential()
