@@ -48,9 +48,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
+#: the form a function spec with a parameter must take, by its prefix
+_SPEC_FORMS = {
+    "const:": "const:C with a rational C",
+    "x^": "x^K with an integer K >= 0",
+    "[x]^": "[x]^K with an integer K >= 0",
+    "exp:": "exp:C with a rational C",
+    "mixed:": "mixed:A,N with integers A and N >= 0",
+}
+
+
 def parse_function(spec: str) -> IntegrableFunction:
     """Function specs: 1 | const:C | x | x^K | [x] | [x]^K | qrho^x | exp:C | mixed:A,N,
-    with K, N >= 0; a spec that names no function is a usage error."""
+    with K, N >= 0; a spec that names no function, or whose parameter does not
+    fit its form, is a usage error."""
     s = spec.strip()
     try:
         if s == "1":
@@ -75,8 +86,9 @@ def parse_function(spec: str) -> IntegrableFunction:
         if s.startswith("mixed:"):
             a, n = s.split(":", 1)[1].split(",")
             return mixed_power(int(a), int(n))
-    except ValueError as exc:
-        _build_parser().error(str(exc))
+    except ValueError:
+        form = next(form for prefix, form in _SPEC_FORMS.items() if s.startswith(prefix))
+        _build_parser().error("function spec %r: expected %s" % (spec, form))
     _build_parser().error("unrecognized function spec %r" % spec)
 
 

@@ -419,19 +419,22 @@ def progression_sums(
 @lru_cache(maxsize=MEMO_SIZE)
 def _level_factors(
     params: RhoQParams, levels: tuple[int, ...], n: int, known: int, lifted: bool
-) -> tuple[PadicNumber | None, tuple[tuple[PadicNumber, PadicNumber], ...]]:
-    """What `_level_terms` multiplies every ball of level n by, at `known`
-    digits: [p^n] (lifted only) and, per m in levels, rho'^(p^M) and [p^M]'."""
+) -> tuple[PadicNumber, ...]:
+    """What `_level_terms` multiplies the level-m sum of every ball of level n
+    by, per m in levels, at `known` digits: rho'^(p^M)/[p^M]', times 1/[p^n]
+    when lifted.  A divisor that is a bounded zero raises PrecisionError."""
     p, mod = params.prime, params.prime**known
     at = params.lifted(n) if lifted else params
     rho = at.rho_residue(known)
-    outer = rhoq_integer(p**n, params, known) if lifted else None
+    outer = PadicNumber.one(p, known)
+    if lifted:
+        outer = div(outer, rhoq_integer(p**n, params, known))
     factors = []
     for m in levels:
         M = m if lifted else n + m
         scale = PadicNumber(p, 0, pow(rho, p**M, mod), known)
-        factors.append((scale, rhoq_integer(p**M, at, known)))
-    return outer, tuple(factors)
+        factors.append(outer * div(scale, rhoq_integer(p**M, at, known)))
+    return tuple(factors)
 
 
 def _level_terms(
@@ -449,9 +452,11 @@ def _level_terms(
     At the given parameters M = n + m: the plain integral (n = 0) and the
     direct restricted sums.  With lifted, M = m at params.lifted(n), times
     1/[p^n]: the restriction identity.  The sums are taken once, to
-    w = d + n + top + 1 digits, and are sound to w - deficiency.  The
-    factors that do not depend on the ball come from `_level_factors`; the
-    divisions and products stay per ball.
+    w = d + n + top + 1 digits, and are sound to w - deficiency.  Each level
+    costs one product: the sum times its factor from `_level_factors`, which
+    is shared by every ball of the level.  A product or quotient keeps the
+    sum of the valuations and the fewest digits, so folding the factors
+    first gives the same value as dividing per ball.
     """
     p = params.prime
     levels = tuple(levels)
@@ -460,14 +465,11 @@ def _level_terms(
     sums, deficiency = progression_sums(f, params, top, shift, p**n, w)
     known = w - deficiency
     mod = p**known
-    bracket_n, factors = _level_factors(params, levels, n, known, lifted)
-    outer = div(PadicNumber.one(p, known), bracket_n) if lifted else None
     terms = []
-    for m, (scale, bracket) in zip(levels, factors):
+    for m, factor in zip(levels, _level_factors(params, levels, n, known, lifted)):
         s = sums[m] % mod
         s_p = PadicNumber.from_integer(s, p, known) if s else PadicNumber.bounded_zero(p, known)
-        term = div(scale * s_p, bracket)
-        terms.append((m, outer * term if lifted else term))
+        terms.append((m, factor * s_p))
     return terms
 
 

@@ -96,10 +96,6 @@ class PrecisionBudget:
         _ACTIVE_BUDGET.reset(self._token)
 
 
-def active_budget() -> PrecisionBudget | None:
-    return _ACTIVE_BUDGET.get()
-
-
 # ---------------------------------------------------------------------------
 # PadicNumber
 # ---------------------------------------------------------------------------
@@ -149,8 +145,7 @@ class PadicNumber:
         if v >= abs_prec:
             return cls.bounded_zero(p, abs_prec)
         r = abs_prec - v
-        u = (n // p**v) % p**r
-        return cls(p, v, u, r)
+        return _new(p, v, (n // p**v) % p**r, r)
 
     @classmethod
     def from_fraction(cls, x: Fraction | int, p: int, abs_prec: int) -> "PadicNumber":
@@ -283,52 +278,29 @@ class PadicNumber:
         if self.unit == 0 or self.val >= abs_prec:
             return PadicNumber.bounded_zero(self.prime, abs_prec)
         r = abs_prec - self.val
-        return PadicNumber(self.prime, self.val, self.unit % self.prime**r, r)
+        return _new(self.prime, self.val, self.unit % self.prime**r, r)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __neg__(self) -> "PadicNumber":
         if self.unit == 0:
             return self
-        mod = self.prime**self.digits
-        return PadicNumber(self.prime, self.val, (-self.unit) % mod, self.digits)
+        return _new(self.prime, self.val, (-self.unit) % self.prime**self.digits, self.digits)
 
     def __add__(self, other: "PadicNumber") -> "PadicNumber":
-        p = _common_prime(self, other)
-        if self.is_exact_zero:
-            return other
-        if other.is_exact_zero:
-            return self
-        a = min(self.abs_precision, other.abs_precision)
-        if self.unit == 0 and other.unit == 0:
-            return PadicNumber.bounded_zero(p, int(a))
-        if self.unit == 0:
-            return other.reduce_abs(int(a))
-        if other.unit == 0:
-            return self.reduce_abs(int(a))
-        a = int(a)
-        v0 = min(self.val, other.val)
-        k = a - v0  # >= 1 whenever both operands are nonzero
-        mod = p**k
-        s = (self.unit * p ** (self.val - v0) + other.unit * p ** (other.val - v0)) % mod
-        if s == 0:
-            return PadicNumber.bounded_zero(p, a)
-        w = vp(s, p)
-        r = k - w
-        return PadicNumber(p, v0 + w, (s // p**w) % p**r, r)
+        return _add(self, other, other.unit)
 
     def __sub__(self, other: "PadicNumber") -> "PadicNumber":
-        return self + (-other)
+        return _add(self, other, -other.unit)
 
     def __mul__(self, other: "PadicNumber") -> "PadicNumber":
-        p = _common_prime(self, other)
-        if self.is_exact_zero or other.is_exact_zero:
-            return PadicNumber.exact_zero(p)
+        p = self.prime if self.prime == other.prime else _common_prime(self, other)
         if self.unit == 0 or other.unit == 0:
+            if self.val is None or other.val is None:
+                return PadicNumber.exact_zero(p)
             return PadicNumber.bounded_zero(p, self.val + other.val)
         r = min(self.digits, other.digits)
-        mod = p**r
-        return PadicNumber(p, self.val + other.val, self.unit * other.unit % mod, r)
+        return _new(p, self.val + other.val, self.unit * other.unit % p**r, r)
 
     def __truediv__(self, other: "PadicNumber") -> "PadicNumber":
         return div(self, other)
@@ -406,6 +378,46 @@ def _common_prime(x: PadicNumber, y: PadicNumber) -> int:
     return x.prime
 
 
+_alloc = object.__new__
+_set_prime, _set_val, _set_unit, _set_digits = (
+    PadicNumber.__dict__[name].__set__ for name in ("prime", "val", "unit", "digits")
+)
+
+
+def _new(p: int, v: int, u: int, r: int) -> PadicNumber:
+    """PadicNumber(p, v, u, r) for normal-form fields, past the frozen __init__."""
+    x = _alloc(PadicNumber)
+    _set_prime(x, p)
+    _set_val(x, v)
+    _set_unit(x, u)
+    _set_digits(x, r)
+    return x
+
+
+def _add(x: PadicNumber, y: PadicNumber, y_unit: int) -> PadicNumber:
+    """x + y with y's unit replaced by y_unit: y.unit for +, -y.unit for -."""
+    p = x.prime if x.prime == y.prime else _common_prime(x, y)
+    if y.val is None:  # exact zero
+        return x
+    if x.val is None:
+        return y if y_unit == y.unit else -y
+    xv, xu, yv = x.val, x.unit, y.val
+    a = min(xv + x.digits, yv + y.digits)
+    if xu == 0 or y_unit == 0:  # a zero residue only lowers the other's precision
+        if xu == 0 and y_unit == 0:
+            return PadicNumber.bounded_zero(p, a)
+        return x.reduce_abs(a) if y_unit == 0 else (y if y_unit == y.unit else -y).reduce_abs(a)
+    v0 = min(xv, yv)
+    k = a - v0  # >= 1: both operands are nonzero
+    s = (xu * p ** (xv - v0) + y_unit * p ** (yv - v0)) % p**k
+    if s == 0:
+        return PadicNumber.bounded_zero(p, a)
+    if s % p:
+        return _new(p, v0, s, k)
+    w = vp(s, p)
+    return _new(p, v0 + w, s // p**w, k - w)
+
+
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
@@ -430,28 +442,27 @@ def norm(x: PadicNumber) -> Fraction:
 def div(x: PadicNumber, y: PadicNumber) -> PadicNumber:
     """x / y.  Logs ν_p(y) lost digits to the budget of the active
     `PrecisionBudget` context, if any."""
-    p = _common_prime(x, y)
-    if y.is_exact_zero:
-        raise ZeroDivisionError("division by exact p-adic zero")
+    p = x.prime if x.prime == y.prime else _common_prime(x, y)
     if y.unit == 0:
+        if y.val is None:
+            raise ZeroDivisionError("division by exact p-adic zero")
         raise PrecisionError(
             "divisor is indistinguishable from zero at working precision O(%d^%d)"
             % (p, y.val)
         )
-    budget = active_budget()
+    budget = _ACTIVE_BUDGET.get()
     if budget is not None:
         budget.record("div", y.val)
-    if x.is_exact_zero:
-        return x
     if x.unit == 0:
+        if x.val is None:
+            return x
         a = x.val - y.val
         if a <= 0:
             raise PrecisionError("quotient of bounded zero carries no digits")
         return PadicNumber.bounded_zero(p, a)
     r = min(x.digits, y.digits)
     mod = p**r
-    u = x.unit * pow(y.unit % mod, -1, mod) % mod
-    return PadicNumber(p, x.val - y.val, u, r)
+    return _new(p, x.val - y.val, x.unit * pow(y.unit, -1, mod) % mod, r)
 
 
 def padic_log(x: PadicNumber) -> PadicNumber:

@@ -33,9 +33,9 @@ def gap_norm(d: PadicNumber) -> Fraction:
     return d.norm()
 
 
-def _aitken(a0: PadicNumber, a1: PadicNumber, a2: PadicNumber) -> PadicNumber | None:
-    d1 = a1 - a0
-    d2 = a2 - a1
+def _aitken(a2: PadicNumber, d1: PadicNumber, d2: PadicNumber) -> PadicNumber | None:
+    """a2 - d2^2 / (d2 - d1) for terms a0, a1, a2 with gaps d1 = a1 - a0 and
+    d2 = a2 - a1, or None when the second difference carries no digits."""
     dd = d2 - d1
     if dd.is_zero_residue:
         return None
@@ -77,12 +77,12 @@ class ApproximantSequence:
         gaps = [values[i + 1] - values[i] for i in range(len(values) - 1)]
         seq.cauchy_rates = [gap_norm(d) for d in gaps]
         seq.gap_exponents = [gap_exponent(d) for d in gaps]
-        seq._declare(values)
+        seq._declare(values, gaps)
         return seq
 
     # -- declaration ----------------------------------------------------------
 
-    def _declare(self, values: list[PadicNumber]) -> None:
+    def _declare(self, values: list[PadicNumber], gaps: list[PadicNumber]) -> None:
         t = self.target_exponent
         raw_cert: int | float | None = None
         # the last-gap certificate needs the observed decay to be monotone,
@@ -93,8 +93,8 @@ class ApproximantSequence:
         aitken_cert: int | float | None = None
         aitken_limit: PadicNumber | None = None
         if len(values) >= 4 and self._gaps_strictly_decreasing():
-            e_prev = _aitken(*values[-4:-1])
-            e_last = _aitken(*values[-3:])
+            e_prev = _aitken(values[-2], gaps[-3], gaps[-2])
+            e_last = _aitken(values[-1], gaps[-2], gaps[-1])
             if e_prev is not None and e_last is not None:
                 self.extrapolants = [e_prev, e_last]
                 aitken_cert = gap_exponent(e_last - e_prev)

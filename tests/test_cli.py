@@ -135,6 +135,28 @@ class TestMalformedInvocation:
         assert len(err.splitlines()) == 1 and err.startswith("rhoq: error: argument selector")
 
 
+class TestMalformedFunctionSpec:
+    """A spec with a parameter that does not fit its form is refused with one
+    line that names the form, whichever Python error the parameter raised."""
+
+    CASES = {
+        "x^": "x^K with an integer K >= 0",
+        "mixed:1": "mixed:A,N with integers A and N >= 0",
+        "const:": "const:C with a rational C",
+        "[x]^a": "[x]^K with an integer K >= 0",
+        "exp:": "exp:C with a rational C",
+    }
+
+    @pytest.mark.parametrize("spec", CASES.keys())
+    def test_names_the_expected_form(self, spec, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["integrate", "--function", spec])
+        assert exc.value.code == EXIT_ERROR
+        assert capsys.readouterr() == (
+            "", "rhoq: error: function spec %r: expected %s\n" % (spec, self.CASES[spec])
+        )
+
+
 class TestLevelRule:
     """n_max <= precision - 4 keeps the audits' deepest level clear of the
     working precision; it binds `audit` only."""

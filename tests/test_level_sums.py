@@ -1,15 +1,18 @@
 """progression_sums against exact Fraction sums, over random primes,
 parameters (classical, rho = q != 1, nu(rho - q) up to 4), progressions and
 integrand families, Mahler series with coefficients known to few digits
-included; and one process that reads many progressions off the shared
-moment tables."""
+included; one process that reads many progressions off the shared
+moment tables; and the folded per-level factors against the chain of
+products and divisions they replace."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from rhoq.calculus import RhoQParams
+from rhoq.calculus import RhoQParams, rhoq_integer
 from rhoq.integration import (
+    _level_terms,
     bracket_power,
     const,
     exponential,
@@ -21,7 +24,7 @@ from rhoq.integration import (
     progression_sums,
     ratio_exponential,
 )
-from rhoq.padic import PadicNumber
+from rhoq.padic import PadicNumber, div
 
 from .oracles import bracket, progression_partial_sums, rat_mod, rhoq_binomial_exact
 
@@ -122,3 +125,43 @@ def test_moment_tables_serve_every_shift_and_no_other_call():
             assert deficiency == 0
             exact = progression_partial_sums(value, rho, q, a, step, [p**m for m in range(levels + 1)])
             assert sums == [rat_mod(e, p, w) for e in exact], (a, levels, step, w)
+
+
+def _unfused_terms(f, params, levels, d, shift, n, lifted):
+    """The level terms by the unfolded chain outer * div(scale * s, bracket):
+    rho'^(p^M) times the level sum, divided by [p^M]', then by [p^n] when
+    lifted, every bracket from `rhoq_integer`."""
+    p = params.prime
+    top = max(levels)
+    w = d + n + top + 1
+    sums, deficiency = progression_sums(f, params, top, shift, p**n, w)
+    known = w - deficiency
+    mod = p**known
+    at = params.lifted(n) if lifted else params
+    outer = div(PadicNumber.one(p, known), rhoq_integer(p**n, params, known))
+    terms = []
+    for m in levels:
+        M = m if lifted else n + m
+        scale = PadicNumber(p, 0, pow(at.rho_residue(known), p**M, mod), known)
+        s = sums[m] % mod
+        s_p = PadicNumber.from_integer(s, p, known) if s else PadicNumber.bounded_zero(p, known)
+        term = div(scale * s_p, rhoq_integer(p**M, at, known))
+        terms.append(outer * term if lifted else term)
+    return terms
+
+
+@pytest.mark.parametrize("lifted", [False, True], ids=["direct", "lifted"])
+@pytest.mark.parametrize("regime", ["deformed", "rho=q"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_folded_level_factors_match_the_unfused_chain(p, regime, lifted):
+    params = RhoQParams.from_offsets(p, 1, 1 if regime == "rho=q" else 2, 10)
+    levels = (1, 2, 3)
+    for f in (const(0), poly_in_x([1, 3, 0, 2]), bracket_power(2), mixed_power(1, 1)):
+        for shift, n in ((0, 0), (1, 1), (p + 2, 2)):
+            folded = _level_terms(f, params, levels, 8, shift, n, lifted)
+            unfused = _unfused_terms(f, params, levels, 8, shift, n, lifted)
+            assert [m for m, _ in folded] == list(levels)
+            got = [(t.val, t.unit, t.digits) for _, t in folded]
+            assert got == [(t.val, t.unit, t.digits) for t in unfused], (f.describe(), shift, n)
+            if f == const(0):  # every level sum is a bounded zero
+                assert all(t.is_zero_residue and not t.is_exact_zero for _, t in folded)

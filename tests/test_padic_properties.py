@@ -1,8 +1,13 @@
 """Algebraic laws of the finite-precision arithmetic, property-based."""
 
+import dataclasses
+from operator import add, mul, sub
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from rhoq.padic import PadicNumber, div, padic_from_integer
+from rhoq.padic import PadicNumber, PrecisionError, div, padic_from_integer
+from rhoq.sequences import ApproximantSequence
 
 PRIMES = (3, 5, 7)
 
@@ -115,3 +120,72 @@ def test_log_power_rule_on_samples(k, p):
     lhs = padic_log(base**k)
     rhs = padic_log(base) * padic_from_integer(k, p, 10 + 6)
     assert lhs.agrees(rhs, 9)
+
+
+@st.composite
+def any_padic_pairs(draw):
+    """Pairs over one prime in which either side may be an exact zero, a
+    bounded zero or a nonzero value, at mixed valuations."""
+    p = draw(st.sampled_from(PRIMES))
+
+    def one():
+        kind = draw(st.sampled_from(["exact zero", "bounded zero", "nonzero", "nonzero"]))
+        if kind == "exact zero":
+            return PadicNumber.exact_zero(p)
+        if kind == "bounded zero":
+            return PadicNumber.bounded_zero(p, draw(st.integers(min_value=1, max_value=8)))
+        return _one_padic(draw, st, p)
+
+    return one(), one()
+
+
+def _fields(x):
+    return (x.prime, x.val, x.unit, x.digits)
+
+
+@given(any_padic_pairs())
+def test_sub_is_add_of_the_negation(pair):
+    a, b = pair
+    assert _fields(a - b) == _fields(a + (-b))
+
+
+@given(any_padic_pairs())
+def test_results_are_frozen_hashable_values(pair):
+    a, b = pair
+    results = []
+    for op in (add, sub, mul, div, lambda x, y: x.reduce_abs(2), lambda x, y: -x):
+        try:
+            results.append(op(a, b))
+        except (PrecisionError, ZeroDivisionError):
+            pass  # a zero divisor, or a result that would carry no digits
+    for r in results:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.unit = 1
+        twin = PadicNumber(*_fields(r))
+        assert r == twin and hash(r) == hash(twin)
+
+
+@given(padic_numbers(), st.integers(min_value=1, max_value=8))
+def test_div_by_a_zero(x, a):
+    with pytest.raises(ZeroDivisionError):
+        div(x, PadicNumber.exact_zero(x.prime))
+    with pytest.raises(PrecisionError):
+        div(x, PadicNumber.bounded_zero(x.prime, a))
+
+
+@given(
+    st.sampled_from(PRIMES),
+    st.lists(st.integers(min_value=1, max_value=10**6), min_size=4, max_size=6),
+)
+def test_extrapolants_follow_the_three_value_aitken_formula(p, coeffs):
+    # A_N = sum over k <= N of c_k p^(k+1), c_k units, has gaps of valuation N + 1
+    coeffs = [c if c % p else c + 1 for c in coeffs]
+    partial = [sum(c * p ** (k + 1) for k, c in enumerate(coeffs[: n + 1])) for n in range(len(coeffs))]
+    values = [padic_from_integer(a, p, 12) for a in partial]
+    seq = ApproximantSequence.build(p, list(enumerate(values, 1)), 10)
+
+    def aitken(a0, a1, a2):  # the second difference has the valuation of a1 - a0
+        return a2 - div((a2 - a1) * (a2 - a1), (a2 - a1) - (a1 - a0))
+
+    expected = [aitken(*values[-4:-1]), aitken(*values[-3:])]
+    assert [_fields(e) for e in seq.extrapolants] == [_fields(e) for e in expected]
