@@ -5,10 +5,12 @@ interest are limits, and auditing them needs the rates, not just a value.
 
 Every integrand is an exponential polynomial: with
 [x] = (rho^x - q^x)/(rho - q), or x q^(x-1) at rho = q, `lower` writes it
-once as p^-v sum P_b(x) b^x with residue coefficients.  The level sums
-over x = a + p^n y read one moment table per (integrand, step), the sums
-of y^k C^y with C = (b q/rho)^(p^n), which does not depend on a: the p^n
-balls of a level share one pass over the points.
+once as p^-v sum P_b(x) b^x with residue coefficients; `lower` is the one
+interpreter of the integrand tree.  The level sums over x = a + p^n y read
+one moment table per (integrand, step), the sums of y^k C^y with
+C = (b q/rho)^(p^n), which does not depend on a: the p^n balls of a level
+share one pass over the points.  Point values (the Riemann sums, the Mahler
+solve, the grid norms) read the same form, one `values` call per grid.
 A general continuous f reaches the integrals the paper's way, through its
 Mahler expansion: `mahler_coefficients` -> `mahler_function`, a series in
 the Gaussian binomials, which lowers like every other family.
@@ -33,9 +35,7 @@ from typing import Sequence
 from .calculus import (
     RhoQParams,
     _bracket_residue,
-    rhoq_binomial,
     rhoq_integer,
-    rhoq_power,
     vp_factorial,
 )
 from .measures import Ball, Distribution
@@ -49,7 +49,9 @@ from .sequences import ApproximantSequence
 
 @dataclass(frozen=True)
 class IntegrableFunction:
-    """A function on Z_p with a structure tag, evaluable at each point.
+    """A function on Z_p as a tree of tagged nodes, read only by `lower`:
+    the level sums and the point values (`values`) both go through its
+    normal form.
 
     Tags: poly_x (polynomial in x; constants too), poly_bracket (polynomial
     in [x]), exponential (c^x; c = q/rho when base is None), mixed
@@ -66,61 +68,6 @@ class IntegrableFunction:
 
     def describe(self) -> str:
         return self.label or self.tag
-
-    # -- direct evaluation at a point (the definition; level sums go through lower)
-
-    def evaluate(self, x: int, params: RhoQParams, digits: int) -> PadicNumber:
-        p = params.prime
-        if self.tag == "poly_x":
-            value = sum(Fraction(c) * x**i for i, c in enumerate(self.coeffs))
-            return PadicNumber.from_fraction(value, p, digits)
-        if self.tag == "poly_bracket":
-            bx = rhoq_integer(x, params, digits + 1)
-            acc = PadicNumber.exact_zero(p)
-            power = PadicNumber.one(p, digits + 1)
-            for c in self.coeffs:
-                acc = acc + _as_padic(c, p, digits + 1) * power
-                power = power * bx
-            return acc
-        if self.tag == "exponential":
-            if self.base is None:
-                base = PadicNumber(p, 0, params.ratio_residue(digits), digits)
-            else:
-                base = PadicNumber.from_fraction(self.base, p, digits)
-            return rhoq_power(base, x, digits)
-        if self.tag == "mixed":
-            rho = PadicNumber(p, 0, params.rho_residue(digits), digits)
-            return rhoq_power(rho, self.a * x, digits) * rhoq_integer(x, params, digits) ** self.n
-        if self.tag == "mahler":
-            acc = PadicNumber.exact_zero(p)
-            for m, c in enumerate(self.coeffs):
-                term = _as_padic(c, p, digits) * rhoq_binomial(x, m, params, digits)
-                acc = acc + term if not term.is_exact_zero else acc
-            return acc
-        if self.tag == "product":
-            acc = PadicNumber.one(p, digits)
-            for part in self.parts:
-                acc = acc * part.evaluate(x, params, digits)
-            return acc
-        if self.tag == "sum":
-            acc = PadicNumber.exact_zero(p)
-            for c, part in zip(self.coeffs, self.parts):
-                acc = acc + _as_padic(c, p, digits) * part.evaluate(x, params, digits)
-            return acc
-        raise ValueError("unknown tag %r" % self.tag)
-
-
-def _as_padic(c, p: int, digits: int) -> PadicNumber:
-    if isinstance(c, PadicNumber):
-        return c
-    return PadicNumber.from_fraction(Fraction(c), p, digits)
-
-
-def capped_residue(value: PadicNumber, w: int) -> int:
-    """value mod p^min(w, known precision); 0 for either zero flavour."""
-    if value.is_zero_residue:
-        return 0
-    return value.residue(min(w, int(value.abs_precision)))
 
 
 def const(c: Fraction | int) -> IntegrableFunction:
@@ -226,25 +173,37 @@ def _nf_mul(a: tuple, b: tuple, mod: int) -> tuple:
 
 
 def lower(f: IntegrableFunction, params: RhoQParams, w: int) -> NormalForm:
-    """f as an exponential polynomial, for sums sound to w digits.
+    """f as an exponential polynomial, for sums and values sound to w digits.
 
     [x] = (rho^x - q^x)/(rho - q), or x q^(x-1) at rho = q, and a Gaussian
     binomial {x choose m} is prod_{j<m} [x - j] / [m]!.  Each [x] costs
-    ν(rho - q) guard digits and each [m]! ν_p(m!); the guard digits cancel
-    exactly, so digit-string parameters are checked at w only.  Errors are
-    raised part by part, in the order of the parts.
+    ν(rho - q) guard digits, each [m]! ν_p(m!) and a coefficient with p^e in
+    its denominator e; all of them go into v, so digit-string parameters are
+    checked at w only.  Errors are raised part by part, in the order of the
+    parts.  A form whose terms all cancel mod p^W keeps one zero term: only a
+    form built from no terms at all (an empty series) has none.
     """
     p = params.prime
     # ν(a^(p^t) - b^(p^t)) = ν(a - b) + t on 1 + pZ_p, with a, b units
     diff = params.rho_base - params.q_base
     nu = vp(diff.numerator, p) + params.tower if diff else None
 
+    def lift(c) -> int:
+        """The least e >= 0 with p^e c in Z_p."""
+        if isinstance(c, PadicNumber):
+            return max(-c.val, 0) if c.unit else 0
+        return vp(Fraction(c).denominator, p)
+
     def guard(g: IntegrableFunction) -> int:
+        if g.tag == "product":
+            return sum(map(guard, g.parts))
+        if g.tag == "sum":
+            return max((guard(part) + lift(c) for c, part in zip(g.coeffs, g.parts)), default=0)
+        e = max(map(lift, g.coeffs), default=0)
         if g.tag in ("poly_bracket", "mixed", "mahler"):
             k = max(g.n if g.tag == "mixed" else len(g.coeffs) - 1, 0)
-            return k * (nu or 0) + (vp_factorial(k, p) if g.tag == "mahler" else 0)
-        parts = [guard(part) for part in g.parts]
-        return sum(parts) if g.tag == "product" else max(parts, default=0)
+            e += k * (nu or 0) + (vp_factorial(k, p) if g.tag == "mahler" else 0)
+        return e
 
     W = w + guard(f)
     mod = p**W
@@ -255,13 +214,15 @@ def lower(f: IntegrableFunction, params: RhoQParams, w: int) -> NormalForm:
         u_inv = pow((exact.rho_residue(W + nu) - exact.q_residue(W + nu)) // p**nu, -1, mod)
     deficiency = 0
 
-    def coeff(c) -> int:
+    def coeff(c) -> tuple[int, int]:
+        """(p^e c mod p^W, e) with e = lift(c); a p-adic c to the digits it has."""
         nonlocal deficiency
-        if isinstance(c, PadicNumber):
-            if not c.is_exact_zero:
-                deficiency = max(deficiency, w - int(c.abs_precision))
-            return capped_residue(c, W)
-        return PadicNumber.from_fraction(Fraction(c), p, W).residue(W)
+        e = lift(c)
+        if not isinstance(c, PadicNumber):
+            return PadicNumber.from_fraction(Fraction(c) * p**e, p, W).residue(W), e
+        if not c.is_exact_zero:
+            deficiency = max(deficiency, w - int(c.abs_precision))
+        return (c.unit * p ** (c.val + e) % mod if c.unit else 0), e
 
     def shifted_bracket(j: int) -> tuple:
         """[x - j] = (rho^-j rho^x - q^-j q^x)/(rho - q), or (x - j) q^(x-j-1)."""
@@ -284,32 +245,27 @@ def lower(f: IntegrableFunction, params: RhoQParams, w: int) -> NormalForm:
 
     def build(g: IntegrableFunction) -> tuple:
         tag = g.tag
-        if tag in ("product", "sum"):
-            parts = [build(part) for part in g.parts]
-            weights = [coeff(c) for c in g.coeffs] if tag == "sum" else []
-            if tag == "sum":
-                acc = zero
-                for c, part in zip(weights, parts):
-                    acc = _nf_add(acc, part, p, mod, c)
-            else:
-                acc = one
-                for part in parts:
-                    acc = _nf_mul(acc, part, mod)
+        acc, power = zero, one
+        if tag == "product":
+            for part in g.parts:
+                power = _nf_mul(power, build(part), mod)
+            return power
+        if tag in ("sum", "poly_x"):  # sum of c_k g_k, the monomials x^k for poly_x
+            for k, c in enumerate(g.coeffs):
+                part = build(g.parts[k]) if tag == "sum" else (0, {1: [0] * k + [1]})
+                acc = _nf_add(acc, part, p, mod, *coeff(c))
             return acc
-        if tag == "poly_x":
-            return 0, {1: [coeff(c) for c in g.coeffs]}
         if tag == "exponential" and g.base is not None:
             # c^x is continuous on Z_p only for c in 1 + pZ_p
             if g.base.denominator % p == 0 or (g.base - 1).numerator % p:
                 raise DomainError("rhoq_power requires base in 1 + pZ_p")
-            return 0, {coeff(g.base): [1]}
+            return 0, {coeff(g.base)[0]: [1]}
         params.require_digits(w)  # the families below read rho and q
         if tag == "exponential":
             return 0, {ratio: [1]}
-        acc, power = zero, one
         if tag == "poly_bracket":
             for c in g.coeffs:
-                acc = _nf_add(acc, power, p, mod, coeff(c))
+                acc = _nf_add(acc, power, p, mod, *coeff(c))
                 power = _nf_mul(power, shifted_bracket(0), mod)
         elif tag == "mixed":
             acc = (0, {pow(rho, g.a, mod): [1]})
@@ -318,16 +274,17 @@ def lower(f: IntegrableFunction, params: RhoQParams, w: int) -> NormalForm:
         elif tag == "mahler":  # power: the falling product of [x - j], j < m
             for m, c in enumerate(g.coeffs):
                 power = _nf_mul(power, shifted_bracket(m - 1), mod) if m else power
-                c = coeff(c)
-                if c:
-                    acc = _nf_add(acc, power, p, mod, c * factorial_inverse(m), vp_factorial(m, p))
+                c, e = coeff(c)
+                acc = _nf_add(acc, power, p, mod, c * factorial_inverse(m), vp_factorial(m, p) + e)
         else:
             raise ValueError("unknown tag %r" % tag)
         return acc
 
-    nf = build(f)
-    terms = tuple((base, tuple(reversed(poly))) for base, poly in nf[1].items() if any(poly))
-    return NormalForm(nf[0], W, terms, max(deficiency, 0), ratio)
+    v, polys = build(f)
+    terms = tuple((base, tuple(reversed(poly))) for base, poly in polys.items() if any(poly))
+    if polys and not terms:
+        terms = ((1, (0,)),)
+    return NormalForm(v, W, terms, max(deficiency, 0), ratio)
 
 
 #: points per step of the moment-table fill (bounds its working lists)
@@ -355,6 +312,9 @@ def _moment_table(
     p, mod = params.prime, params.prime**nf.W
     tables = []
     for base, coeffs in nf.terms:
+        if not any(coeffs):  # the zero form: every sum vanishes
+            tables.append(())
+            continue
         c = pow(base * nf.ratio % mod, step, mod)
         powers = [1]  # C^j for j < BLOCK: the points run through in blocks
         for _ in range(min(BLOCK, p**max_level) - 1):
@@ -389,6 +349,7 @@ def progression_sums(
 
     Returns (sums, deficiency): the sums are sound mod p^(w - deficiency),
     where the deficiency accounts for inputs known to fewer than w digits.
+    A sum with p in its denominator (from a coefficient's) is None.
 
     f is lowered once per moment table to p^-v sum P_b(x) b^x.  The weight
     folds into every base; with Q_b(y) = P_b(shift + step y) = sum a_k y^k
@@ -408,7 +369,38 @@ def progression_sums(
         scale = pow(base * nf.ratio % mod, shift, mod)
         for m, row in enumerate(rows):
             out[m] += scale * sum(map(mul, a, row))
-    return [s % mod // p**nf.v % p**w for s in out], nf.deficiency
+    out, scale = [s % mod for s in out], p**nf.v
+    return [s // scale % p**w if s % scale == 0 else None for s in out], nf.deficiency
+
+
+def values(
+    f: IntegrableFunction, params: RhoQParams, xs: Sequence[int], digits: int
+) -> list[PadicNumber]:
+    """f(x) for x in xs, read off f's normal form p^-v sum P_b(x) b^x mod p^W.
+
+    f is lowered once per call; each value costs a Horner pass per P_b and
+    a power b^x.  Every value is known to digits - deficiency absolute
+    digits.  A residue cannot show that a value is exactly 0, so a zero
+    residue is the bounded zero O(p^known); only a form with no terms (an
+    empty series) gives the exact zero.
+    """
+    nf = lower(f, params, digits)
+    p, mod = params.prime, params.prime**nf.W
+    if not nf.terms:
+        return [PadicNumber.exact_zero(p)] * len(xs)
+    known = digits - nf.deficiency
+    zero = PadicNumber.bounded_zero(p, known)  # PrecisionError when no digit is known
+    out = []
+    for x in xs:
+        r = 0
+        for base, coeffs in nf.terms:
+            acc = 0
+            for c in coeffs:
+                acc = acc * x + c
+            r += acc % mod * pow(base, x, mod)
+        z = PadicNumber.from_integer(r % mod, p, known + nf.v)  # p^v f(x), or a zero
+        out.append(PadicNumber(p, z.val - nf.v, z.unit, z.digits) if z.unit else zero)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +459,8 @@ def _level_terms(
     mod = p**known
     terms = []
     for m, factor in zip(levels, _level_factors(params, levels, n, known, lifted)):
+        if sums[m] is None:
+            raise DomainError("level sum with negative valuation")
         s = sums[m] % mod
         s_p = PadicNumber.from_integer(s, p, known) if s else PadicNumber.bounded_zero(p, known)
         terms.append((m, factor * s_p))
@@ -685,8 +679,7 @@ def integral_against_weighted(
     terms = []
     for m in outer_levels:
         acc = PadicNumber.exact_zero(p)
-        for i in range(p**m):
-            gi = g.evaluate(i, params, d + m + 2)
+        for i, gi in enumerate(values(g, params, range(p**m), d + m + 2)):
             acc = acc + gi * weighted.value(Ball(p, i, m))
         terms.append((m, acc))
     lhs = ApproximantSequence.build(

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from .calculus import RhoQParams, binomial_triangle, rhoq_binomial, vp_factorial
-from .integration import IntegrableFunction, mahler_function
+from .integration import IntegrableFunction, mahler_function, values
 from .measures import lipschitz_estimate
 from .padic import PadicNumber
 from .sequences import gap_norm
@@ -75,11 +75,9 @@ def mahler_coefficients(
     p = params.prime
     d = digits if digits is not None else params.precision
     w = d + vp_factorial(order, p) + 2
-    values = [f.evaluate(i, params, w) for i in range(order + 1)]
     rows = binomial_triangle(order, params, w)
     coeffs: list[PadicNumber] = []
-    for i in range(order + 1):
-        acc = values[i]
+    for i, acc in enumerate(values(f, params, range(order + 1), w)):
         for n_idx in range(i):
             c = coeffs[n_idx]
             if c.is_exact_zero:
@@ -104,30 +102,31 @@ def truncation_polynomial(series: MahlerSeries, m: int) -> IntegrableFunction:
 # ---------------------------------------------------------------------------
 
 
+def _grid_values(
+    f: IntegrableFunction, params: RhoQParams, level: int, digits: int | None
+) -> list[PadicNumber]:
+    d = digits if digits is not None else params.precision
+    return values(f, params, range(params.prime**level), d)
+
+
 def sup_norm_grid(
     f: IntegrableFunction, params: RhoQParams, level: int, *, digits: int | None = None
 ) -> Fraction:
     """max |f(x)| over the level-deep residue grid."""
-    d = digits if digits is not None else params.precision
-    best = Fraction(0)
-    for x in range(params.prime**level):
-        best = max(best, gap_norm(f.evaluate(x, params, d)))
-    return best
+    return max(map(gap_norm, _grid_values(f, params, level, digits)))
 
 
 def difference_quotient_norm_grid(
     f: IntegrableFunction, params: RhoQParams, level: int, *, digits: int | None = None
 ) -> Fraction:
     """max |f(x)-f(y)|/|x-y| over the grid (the difference-quotient sup)."""
-    d = digits if digits is not None else params.precision
-    return lipschitz_estimate(lambda x: f.evaluate(x, params, d), params.prime, level)
+    grid = _grid_values(f, params, level, digits)
+    return lipschitz_estimate(grid.__getitem__, params.prime, level)
 
 
 def lipschitz_norm_grid(
     f: IntegrableFunction, params: RhoQParams, level: int, *, digits: int | None = None
 ) -> Fraction:
-    """||f||_1 = ||f||_inf  v  ||difference quotient||_inf, both on the grid."""
-    return max(
-        sup_norm_grid(f, params, level, digits=digits),
-        difference_quotient_norm_grid(f, params, level, digits=digits),
-    )
+    """||f||_1 = ||f||_inf  v  ||difference quotient||_inf, both on one grid of values."""
+    grid = _grid_values(f, params, level, digits)
+    return max(max(map(gap_norm, grid)), lipschitz_estimate(grid.__getitem__, params.prime, level))

@@ -191,3 +191,39 @@ def progression_partial_sums(
         start = end
         out.append(acc)
     return out
+
+
+def function_value(f, rho: Fraction, q: Fraction, x: int) -> Fraction:
+    """f(x) exactly, read straight off the integrand tree's definitions.
+
+    Reads only the tree's fields; a p-adic coefficient counts as the rational
+    p^val * unit it carries (0 for either zero).
+    """
+    rho, q = Fraction(rho), Fraction(q)
+
+    def exact(c) -> Fraction:
+        if hasattr(c, "unit"):
+            return Fraction(c.unit) * Fraction(c.prime) ** c.val if c.unit else Fraction(0)
+        return Fraction(c)
+
+    if f.tag == "poly_x":
+        return sum((exact(c) * x**i for i, c in enumerate(f.coeffs)), Fraction(0))
+    if f.tag == "poly_bracket":
+        b = bracket(x, rho, q)
+        return sum((exact(c) * b**i for i, c in enumerate(f.coeffs)), Fraction(0))
+    if f.tag == "exponential":
+        return (q / rho if f.base is None else Fraction(f.base)) ** x
+    if f.tag == "mixed":
+        return rho ** (f.a * x) * bracket(x, rho, q) ** f.n
+    if f.tag == "mahler":
+        terms = (exact(c) * rhoq_binomial_exact(x, m, rho, q) for m, c in enumerate(f.coeffs))
+        return sum(terms, Fraction(0))
+    if f.tag == "product":
+        acc = Fraction(1)
+        for part in f.parts:
+            acc *= function_value(part, rho, q, x)
+        return acc
+    if f.tag == "sum":
+        parts = (exact(c) * function_value(g, rho, q, x) for c, g in zip(f.coeffs, f.parts))
+        return sum(parts, Fraction(0))
+    raise ValueError("unknown tag %r" % f.tag)

@@ -17,6 +17,7 @@ from rhoq.integration import (
     mixed_power,
     poly_in_x,
     ratio_exponential,
+    values,
     volkenborn_integral,
     weighted_measure_direct,
     weighted_measure_sequence,
@@ -168,17 +169,16 @@ def test_criterion_08_mahler_roundtrip_order_24():
     for f in battery:
         series = mahler_coefficients(f, order, pr)
         head = truncation_polynomial(series, series.order)
-        for i in range(order + 1):
-            got = head.evaluate(i, pr, 12)
-            want = f.evaluate(i, pr, 12)
+        xs = range(order + 1)
+        for i, got, want in zip(xs, values(head, pr, xs, 12), values(f, pr, xs, 12), strict=True):
             assert got.agrees(want, 10), (f.describe(), i)
     # classical coefficients match the finite-difference oracle exactly
     cl = RhoQParams.classical(5, 14)
     for coeffs in ([1, 2], [0, 0, 1], [3, 0, 0, 1]):
         f = poly_in_x(coeffs)
         series = mahler_coefficients(f, order, cl)
-        values = [sum(Fraction(c) * x**i for i, c in enumerate(coeffs)) for x in range(order + 1)]
-        for c, e in zip(series.coefficients, finite_differences(values)):
+        exact = [sum(Fraction(c) * x**i for i, c in enumerate(coeffs)) for x in range(order + 1)]
+        for c, e in zip(series.coefficients, finite_differences(exact)):
             if c.is_zero_residue:
                 assert rat_mod(e, 5, 10) == 0
             else:

@@ -7,12 +7,16 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import rhoq
 from rhoq.cli import EXIT_ERROR, _build_parser, main
+from rhoq.padic import PadicNumber
+
+from .oracles import mahler_forward_substitution, rhoq_binomial_exact
 
 DIGITS_RHO = "digits:1,1,0,0,0,0,0,0,0,0,0,0"
 DIGITS_Q = "digits:1,2,0,0,0,0,0,0,0,0,0,0"
@@ -188,3 +192,36 @@ class TestLevelRule:
         for argv in commands:
             assert main(argv + ["--levels", window]) == EXIT_ERROR
             assert capsys.readouterr() == ("", "rhoq: error: need 1 <= n_min <= n_max\n")
+
+
+class TestPointValuesReadTheNormalForm:
+    """Rational constants with p in the denominator, and mixed:A,0, through
+    every command that reads a function spec."""
+
+    def test_const_with_p_in_the_denominator(self):
+        # at p = 5 and rho = 6, the integral of 1/5 is rho/5 at every level
+        code, out = in_process(["integrate", "--function", "const:1/5", "--levels", "1:3"])
+        assert code == 0
+        want = PadicNumber.from_fraction(Fraction(6, 5), 5, 12).digit_string()
+        assert json.loads(out)["sequence"]["approximants"] == [want] * 3
+        for argv in (
+            ["rn-deriv", "--x", "3", "--weight", "const:1/5", "--levels", "1:3"],
+            ["mahler", "--function", "const:1/5", "--order", "4"],
+        ):
+            assert in_process(argv)[0] == 0, argv
+
+    def test_mixed_power_zero_keeps_full_precision(self):
+        # rho^(2x) [x]^0 = rho^(2x): every coefficient at the full precision,
+        # equal to the forward substitution of the exact values and binomials
+        p, rho, q, order, w = 5, Fraction(6), Fraction(11), 3, 40
+        code, out = in_process(["mahler", "--function", "mixed:2,0", "--order", str(order)])
+        assert code == 0
+        got = json.loads(out)["series"]["coefficients"]
+        exact = [PadicNumber.from_fraction(rho ** (2 * i), p, w) for i in range(order + 1)]
+        want = mahler_forward_substitution(
+            exact, lambda i, n: PadicNumber.from_fraction(rhoq_binomial_exact(i, n, rho, q), p, w)
+        )
+        for text, c in zip(got, want, strict=True):
+            known = int(text[len("O(5^"):text.index(")")])
+            assert known >= 12
+            assert text == c.reduce_abs(known).digit_string()

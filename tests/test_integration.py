@@ -5,7 +5,6 @@ import pytest
 
 from rhoq.calculus import RhoQParams, rhoq_power
 from rhoq.integration import (
-    capped_residue,
     WeightedDistribution,
     bernoulli_comparison_report,
     bracket_power,
@@ -23,15 +22,17 @@ from rhoq.integration import (
     product,
     progression_sums,
     ratio_exponential,
+    values,
     volkenborn_integral,
     weighted_measure_direct,
     weighted_measure_sequence,
 )
 from rhoq.measures import Ball, parameter_gap_exponent, rhoq_haar_measure
-from rhoq.padic import PadicNumber, padic_from_fraction, padic_from_integer
+from rhoq.padic import DomainError, PadicNumber, padic_from_fraction, padic_from_integer
 
 from .oracles import (
     bracket,
+    function_value,
     progression_partial_sums,
     q_volkenborn_level,
     rat_mod,
@@ -60,7 +61,7 @@ FAMILIES = [
 class TestEngine:
     @pytest.mark.parametrize("f", FAMILIES, ids=lambda f: f.describe())
     def test_engine_matches_pointwise_evaluation(self, f):
-        # the running-state engine against the direct pointwise contract
+        # the running-state engine against the exact pointwise definition
         pr = params(prec=10)
         w = 10
         mod = 5**w
@@ -70,8 +71,8 @@ class TestEngine:
             acc = 0
             for y in range(25):
                 x = shift + step * y
-                fx = f.evaluate(x, pr, w)
-                acc = (acc + capped_residue(fx, w) * pow(t, x, mod)) % mod
+                fx = function_value(f, pr.rho_base, pr.q_base, x)
+                acc = (acc + rat_mod(fx, 5, w) * pow(t, x, mod)) % mod
             assert sums[2] % 5 ** (w - deficiency) == acc % 5 ** (w - deficiency)
 
     def test_mahler_family_engine(self):
@@ -84,19 +85,20 @@ class TestEngine:
         t = pr.ratio_residue(w)
         acc = 0
         for x in range(25):
-            fx = f.evaluate(x, pr, w)
-            acc = (acc + capped_residue(fx, w) * pow(t, x, 5**w)) % 5**w
+            fx = function_value(f, pr.rho_base, pr.q_base, x)
+            acc = (acc + rat_mod(fx, 5, w) * pow(t, x, 5**w)) % 5**w
         assert sums[2] % mod == acc % mod
 
     def test_product_family(self):
         pr = params(prec=10)
         f = product(coordinate(), ratio_exponential())
-        for x in (0, 1, 7):
-            direct = f.evaluate(x, pr, 10)
+        xs = (0, 1, 7)
+        for x, direct in zip(xs, values(f, pr, xs, 10)):
             expected = padic_from_integer(x, 5, 10) * rhoq_power(
                 pr.q / pr.rho, x, 10
             )
             assert direct.agrees(expected, 9)
+            assert direct.residue(9) == rat_mod(function_value(f, pr.rho_base, pr.q_base, x), 5, 9)
 
 
 class TestGuardDigits:
@@ -134,6 +136,31 @@ class TestConstantFunction:
             rho = PadicNumber(p, 0, pr.rho_residue(10), 10)
             for _, a_n in seq.terms:
                 assert a_n.agrees(rho, 10)
+
+    @pytest.mark.parametrize(
+        "regime", [(1, 2), (0, 0), (3, 3)], ids=["deformed", "classical", "rho=q"]
+    )
+    def test_integral_of_one_fifth_is_rho_over_five_at_every_level(self, regime):
+        pr = RhoQParams.from_offsets(5, *regime, 12)
+        want = padic_from_fraction(pr.rho_base / 5, 5, 12)
+        seq = volkenborn_integral(const(Fraction(1, 5)), pr, range(1, 6))
+        for _, a_n in seq.terms:
+            assert a_n.valuation == -1 and a_n.agrees(want, 12)
+
+    def test_a_level_sum_with_p_in_its_denominator_is_refused(self):
+        # sum of x^4/5 over x < 5 has valuation -1; over x < 25 it is in Z_5
+        pr = params()
+        f = poly_in_x([0, 0, 0, 0, Fraction(1, 5)])
+        sums, _ = progression_sums(f, pr, 2, 0, 1, 10)
+        exact = progression_partial_sums(lambda x: Fraction(x**4, 5), 6, 11, 0, 1, [1, 5, 25])
+        assert sums == [0, None, rat_mod(exact[2], 5, 10)]
+        with pytest.raises(DomainError, match="level sum with negative valuation"):
+            volkenborn_integral(f, pr, range(1, 4))
+        levels = [2, 3]
+        values_at = [Fraction(x**4, 5) for x in range(5**3)]
+        for N, (_, a_n) in zip(levels, volkenborn_integral(f, pr, levels).terms):
+            want = volkenborn_level(values_at, Fraction(6), Fraction(11), 5, N)
+            assert a_n.agrees(padic_from_fraction(want, 5, 12), 12)
 
     def test_zero_cauchy_rates(self):
         seq = volkenborn_integral(const(1), params(), range(1, 6))

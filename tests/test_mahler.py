@@ -10,6 +10,7 @@ from rhoq.integration import (
     mixed_power,
     poly_in_x,
     ratio_exponential,
+    values,
 )
 from rhoq.mahler import (
     MahlerSeries,
@@ -121,8 +122,8 @@ class TestForwardSubstitutionOracle:
             pr = REGIMES[regime](p, prec)
             series = mahler_coefficients(f, order, pr)
             w = prec + vp_factorial(order, p) + 2
-            values = [f.evaluate(i, pr, w) for i in range(order + 1)]
-            want = mahler_forward_substitution(values, lambda i, n: rhoq_binomial(i, n, pr, w))
+            f_values = values(f, pr, range(order + 1), w)
+            want = mahler_forward_substitution(f_values, lambda i, n: rhoq_binomial(i, n, pr, w))
             got = [c.digit_string() for c in series.coefficients]
             assert got == [c.digit_string() for c in want]
 
@@ -139,10 +140,10 @@ class TestForwardSubstitutionOracle:
         for known in (3, 4, 12):
             pr = RhoQParams.from_residues(3, 4, 7, known)
             w = known + vp_factorial(30, 3) + 2
-            values = [f.evaluate(i, pr, w) for i in range(31)]
+            f_values = values(f, pr, range(31), w)
             got = outcome(lambda: mahler_coefficients(f, 30, pr).coefficients)
             want = outcome(
-                lambda: mahler_forward_substitution(values, lambda i, n: rhoq_binomial(i, n, pr, w))
+                lambda: mahler_forward_substitution(f_values, lambda i, n: rhoq_binomial(i, n, pr, w))
             )
             assert got == want
 
@@ -196,13 +197,14 @@ class TestRoundtrip:
         order = 10
         series = mahler_coefficients(f, order, pr)
         head = truncation_polynomial(series, series.order)
-        for i in range(order + 1):
-            assert head.evaluate(i, pr, 12).agrees(f.evaluate(i, pr, 12), 10)
+        xs = range(order + 1)
+        for got, want in zip(values(head, pr, xs, 12), values(f, pr, xs, 12), strict=True):
+            assert got.agrees(want, 10)
 
     def test_empty_series_evaluates_to_zero(self):
         pr = params()
         series = MahlerSeries(pr, [])
-        assert truncation_polynomial(series, series.order).evaluate(3, pr, 12).is_exact_zero
+        assert values(truncation_polynomial(series, series.order), pr, [3], 12)[0].is_exact_zero
 
 
 class TestTruncation:
@@ -211,9 +213,9 @@ class TestTruncation:
         f = ratio_exponential()
         series = mahler_coefficients(f, 6, pr)
         f_0 = truncation_polynomial(series, 0)
-        v0 = f.evaluate(0, pr, 12)
-        for x in (0, 2, 9):
-            assert f_0.evaluate(x, pr, 12).agrees(v0, 10)
+        [v0] = values(f, pr, [0], 12)
+        for v in values(f_0, pr, (0, 2, 9), 12):
+            assert v.agrees(v0, 10)
 
     def test_truncation_error_bounded_by_tail(self):
         # sup |f - f_m| on the grid <= sup of the dropped coefficient norms
@@ -225,11 +227,11 @@ class TestTruncation:
             f_m = truncation_polynomial(series, m)
             tail = series.tail_norm(m + 1)
             worst = Fraction(0)
-            for x in range(5**3):
-                d = f.evaluate(x, pr, 12) - f_m.evaluate(x, pr, 12)
+            grid = range(5**3)
+            for fx, fx_m in zip(values(f, pr, grid, 12), values(f_m, pr, grid, 12), strict=True):
                 from rhoq.sequences import gap_norm
 
-                worst = max(worst, gap_norm(d))
+                worst = max(worst, gap_norm(fx - fx_m))
             assert worst <= tail
 
     def test_tail_can_be_pushed_below_tolerance(self):
@@ -240,8 +242,10 @@ class TestTruncation:
         f = ratio_exponential()
         from rhoq.sequences import gap_norm
 
+        grid = range(5**3)
         worst = max(
-            gap_norm(f.evaluate(x, pr, 12) - f_m.evaluate(x, pr, 12)) for x in range(5**3)
+            gap_norm(fx - fx_m)
+            for fx, fx_m in zip(values(f, pr, grid, 12), values(f_m, pr, grid, 12), strict=True)
         )
         assert worst <= Fraction(1, 5**3)
 
