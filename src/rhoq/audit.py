@@ -15,11 +15,14 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import comb, inf
-from typing import Iterable
+from operator import attrgetter
+from typing import Callable, Iterable, Sequence
 
 from .calculus import RhoQParams, rhoq_integer, rhoq_power
 from .integration import (
+    WEIGHTED_LEVELS,
     IntegrableFunction,
     WeightedDistribution,
     bernoulli_comparison_report,
@@ -37,6 +40,7 @@ from .mahler import lipschitz_norm_grid, mahler_coefficients, truncation_polynom
 from .measures import (
     Ball,
     DensityScaled,
+    Distribution,
     RhoQHaar,
     check_invariance,
     difference,
@@ -44,7 +48,7 @@ from .measures import (
     radon_nikodym_derivative,
 )
 from .padic import PadicNumber, PrecisionError, div
-from .sequences import gap_exponent, gap_norm
+from .sequences import gap_norm
 
 SCHEMA = "rhoq-audit-report/1"
 
@@ -71,6 +75,12 @@ AUDIT_TITLES = {
 GRID_LEVEL = 2
 #: digits the deepest audit level keeps below the precision
 SAFETY_MARGIN = 4
+#: the Riemann sums of the integral identity (thm33) run over levels
+#: 1..min(OUTER_CAP, n_max)
+OUTER_CAP = 5
+
+#: the certified vanishing exponent of a difference, d ≡ 0 mod p^e
+_valuation = attrgetter("valuation")
 
 
 def level_window(n_min: int, n_max: int) -> range:
@@ -104,8 +114,6 @@ class AuditConfig:
     seed: int = 1
     tolerance_exponent: int | None = None
     theorems: tuple[str, ...] = AUDIT_IDS
-    inner_max: int = 5
-    outer_max: int | None = None  # Riemann-sum window for the integral identity
 
     def __post_init__(self) -> None:
         if self.n_max > self.precision - SAFETY_MARGIN:
@@ -136,8 +144,9 @@ class AuditConfig:
             "tolerance_exponent": self.tolerance,
             "theorems": list(self.theorems),
             "grid_level": GRID_LEVEL,
-            "inner_max": self.inner_max,
-            "outer_max": self.outer_max,
+            # the windows are fixed: WEIGHTED_LEVELS, and 1..min(OUTER_CAP, n_max)
+            "inner_max": WEIGHTED_LEVELS[-1],
+            "outer_max": None,
         }
 
 
@@ -224,7 +233,7 @@ def _agreement_check(
     short of t without a certified violation.  Stricter t can only turn PASS
     into FAIL/INCONCLUSIVE, never the reverse.
     """
-    e = gap_exponent(d)
+    e = d.valuation
     cert = inf if certified is None else certified
     measured = {
         "agreement_exponent": "inf" if e == inf else int(e),
@@ -257,19 +266,9 @@ def _sample_balls(cfg: AuditConfig, rng: random.Random, count: int) -> list[Ball
     return balls
 
 
-class _CachedDensity:
-    def __init__(self, dist, levels):
-        self.dist = dist
-        self.levels = levels
-        self._cache: dict[int, PadicNumber] = {}
-
-    def __call__(self, x: int) -> PadicNumber:
-        hit = self._cache.get(x)
-        if hit is None:
-            seq = radon_nikodym_derivative(self.dist, x, self.levels)
-            hit = seq.limit_estimate()
-            self._cache[x] = hit
-        return hit
+def _density(dist: Distribution, levels: Sequence[int]) -> Callable[[int], PadicNumber]:
+    """x -> the limit estimate of dist's rescaled ball values at x, memoized."""
+    return cache(lambda x: radon_nikodym_derivative(dist, x, levels).limit_estimate())
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +285,11 @@ def audit_lipschitz(cfg: AuditConfig) -> AuditReport:
     checks: list[CheckRecord] = []
     constants: dict = {}
     inputs = [
-        ("haar", RhoQHaar(params, cfg.precision)),
-        (
-            "weighted [x]^2",
-            WeightedDistribution(
-                bracket_power(2), params, cfg.precision, range(1, cfg.inner_max + 1)
-            ),
-        ),
+        ("haar", RhoQHaar(params)),
+        ("weighted [x]^2", WeightedDistribution(bracket_power(2), params)),
     ]
     for label, dist in inputs:
-        density = _CachedDensity(dist, list(levels))
+        density = _density(dist, levels)
         m = GRID_LEVEL
         c_lo = lipschitz_estimate(density, p, m, seed=cfg.seed)
         c_hi = lipschitz_estimate(density, p, m + 1, seed=cfg.seed)
@@ -322,14 +316,14 @@ def audit_weighted_measure(cfg: AuditConfig) -> AuditReport:
     t = cfg.tolerance
     rng = random.Random(cfg.seed + 32)
     checks: list[CheckRecord] = []
-    inner = range(1, cfg.inner_max + 1)
+    inner = WEIGHTED_LEVELS
 
     # (1) linearity on random coefficients and balls
     f, g = coordinate(), bracket_power(1)
     for trial in range(3):
         alpha = rng.randint(1, p**2)
         beta = rng.randint(1, p**2)
-        hi = cfg.precision + cfg.inner_max + 4
+        hi = cfg.precision + inner[-1] + 4
         combo = linear_combination([alpha, beta], [f, g])
         ball = _sample_balls(cfg, rng, 1)[0]
         lhs = weighted_measure_sequence(combo, params, ball, inner, digits=cfg.precision)
@@ -340,7 +334,7 @@ def audit_weighted_measure(cfg: AuditConfig) -> AuditReport:
         worst = min(
             (tc - (a_p * tf + b_p * tg)
              for (_, tc), (_, tf), (_, tg) in zip(lhs.terms, rf.terms, rg.terms)),
-            key=gap_exponent,
+            key=_valuation,
         )
         checks.append(
             _agreement_check(
@@ -381,7 +375,7 @@ def audit_weighted_measure(cfg: AuditConfig) -> AuditReport:
     traces = {}
     for fx in battery:
         ball = _sample_balls(cfg, rng, 1)[0]
-        depth = min(cfg.inner_max, cfg.precision - ball.level - 2, 4)
+        depth = min(cfg.precision - ball.level - 2, 4)
         lifted = weighted_measure_sequence(
             fx, params, ball, range(1, depth + 1), digits=cfg.precision
         )
@@ -392,7 +386,7 @@ def audit_weighted_measure(cfg: AuditConfig) -> AuditReport:
                 "direct": direct.describe(),
             }
         pairs = [(t1, t2) for (_, t1), (_, t2) in zip(lifted.terms, direct.terms)]
-        worst = min((t1 - t2 for t1, t2 in pairs), key=gap_exponent)
+        worst = min((t1 - t2 for t1, t2 in pairs), key=_valuation)
         avail = min(int(t.abs_precision) for t in pairs[-1])
         checks.append(
             _agreement_check(
@@ -415,13 +409,12 @@ def audit_closed_form(cfg: AuditConfig) -> AuditReport:
     checks: list[CheckRecord] = []
     constants: dict = {}
     traces: dict = {}
-    inner = range(1, cfg.inner_max + 1)
     # one level beyond the window: extraction headroom for the extrapolants
     rn_levels = range(cfg.n_min, cfg.n_max + 2)
 
     for k in (1, 2, 3):
         weight = bracket_power(k)
-        dist = WeightedDistribution(weight, params, cfg.precision, inner)
+        dist = WeightedDistribution(weight, params)
 
         # (i) invariance classification
         report = check_invariance(
@@ -474,7 +467,7 @@ def audit_closed_form(cfg: AuditConfig) -> AuditReport:
                 ratios.append((x, div(numerator, denom)))
             except PrecisionError:
                 continue
-        worst = min((r - ratios[0][1] for _, r in ratios[1:]), key=gap_exponent)
+        worst = min((r - ratios[0][1] for _, r in ratios[1:]), key=_valuation)
         avail = min(int(r.abs_precision) for _, r in ratios)
         checks.append(
             _agreement_check(
@@ -511,23 +504,19 @@ def audit_closed_form(cfg: AuditConfig) -> AuditReport:
             poly_in_x([0, 0, 1], label="x^2"),
             ratio_exponential(),
         ]
-        shared = dist
         g_ratios = []
         cert_iii: int | float = cert_ii
-        outer_top = cfg.outer_max if cfg.outer_max is not None else min(5, cfg.n_max)
-        outer = range(1, outer_top + 1)
+        outer = range(1, min(OUTER_CAP, cfg.n_max) + 1)
         for i, g in enumerate(g_battery):
-            comp = integral_against_weighted(
-                g, weight, params, outer, weighted=shared, digits=cfg.precision
-            )
+            comp = integral_against_weighted(g, dist, outer)
             if comp.fitted_ratio is not None:
                 g_ratios.append((g.describe(), comp.fitted_ratio))
                 cert_iii = min(cert_iii, comp.ratio_certified)
                 if k == 1 and i == 0:  # g = 1, the head of the battery
                     traces["integral identity (k=1, g=1)"] = comp.describe()
-        worst_g = min((r - ratios[0][1] for _, r in g_ratios), key=gap_exponent)
+        worst_g = min((r - ratios[0][1] for _, r in g_ratios), key=_valuation)
         avail_g = min(int(r.abs_precision) for _, r in g_ratios)
-        measured_e = gap_exponent(worst_g)
+        measured_e = worst_g.valuation
         checks.append(
             _agreement_check(
                 "integral identity ratio matches the density constant (k=%d)" % k,
@@ -548,7 +537,7 @@ def audit_closed_form(cfg: AuditConfig) -> AuditReport:
             a = rng.randrange(p**n)
             i = rng.randint(0, p**2)
             splits.append(_splitting_difference(a, i, n, k, params, cfg.precision + 4))
-        worst_split = min(splits, key=gap_exponent)
+        worst_split = min(splits, key=_valuation)
         checks.append(
             _agreement_check(
                 "splitting-identity expansion (k=%d)" % k,
@@ -596,7 +585,6 @@ def audit_decomposition(cfg: AuditConfig) -> AuditReport:
     rng = random.Random(cfg.seed + 34)
     checks: list[CheckRecord] = []
     constants: dict = {}
-    inner = range(1, cfg.inner_max + 1)
     window = range(cfg.n_min, min(cfg.n_max, 4) + 1)
 
     series = mahler_coefficients(ratio_exponential(), 12, params, digits=cfg.precision + 2)
@@ -608,11 +596,11 @@ def audit_decomposition(cfg: AuditConfig) -> AuditReport:
 
     traces: dict = {}
     for label, f in test_functions:
-        weighted = WeightedDistribution(f, params, cfg.precision, inner)
-        density = _CachedDensity(weighted, list(window))
+        weighted = WeightedDistribution(f, params)
+        density = _density(weighted, window)
         trace = radon_nikodym_derivative(weighted, 1, window).describe()
         traces["density extraction at x=1 (%s)" % label] = trace
-        associated = DensityScaled(density, params, cfg.precision)
+        associated = DensityScaled(density, params)
         remainder = difference(weighted, associated)
 
         sample = sorted(
@@ -679,9 +667,7 @@ def run_audits(cfg: AuditConfig) -> dict:
     if "thm33" in cfg.theorems or "thm32" in cfg.theorems:
         params = cfg.params()
         levels = range(1, cfg.n_max + 1)
-        extras["bernoulli_closed_form_comparison"] = bernoulli_comparison_report(
-            0, params, levels, digits=cfg.precision
-        )
+        extras["bernoulli_closed_form_comparison"] = bernoulli_comparison_report(0, params, levels)
         from .integration import carlitz_bernoulli
 
         extras["bernoulli_table"] = {

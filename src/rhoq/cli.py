@@ -86,7 +86,7 @@ def parse_function(spec: str) -> IntegrableFunction:
         if s.startswith("mixed:"):
             a, n = s.split(":", 1)[1].split(",")
             return mixed_power(int(a), int(n))
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: K past the size of a list
         form = next(form for prefix, form in _SPEC_FORMS.items() if s.startswith(prefix))
         _build_parser().error("function spec %r: expected %s" % (spec, form))
     _build_parser().error("unrecognized function spec %r" % spec)
@@ -285,7 +285,7 @@ def _run(args: argparse.Namespace) -> int:
         payload = {"n": args.n, "a": args.a, "sequence": seq.describe()}
         if args.compare and args.n == 0:
             payload["printed_formula_comparison"] = bernoulli_comparison_report(
-                args.a, params, levels, digits=args.prec
+                args.a, params, levels
             )
         _emit(payload, args.out)
         return 0
@@ -306,8 +306,8 @@ def _run(args: argparse.Namespace) -> int:
 def _distribution(args: argparse.Namespace, params: RhoQParams) -> Distribution:
     """The family weighted by --weight, else the deformed Haar distribution."""
     if args.weight:
-        return WeightedDistribution(parse_function(args.weight), params, args.prec)
-    return RhoQHaar(params, args.prec)
+        return WeightedDistribution(parse_function(args.weight), params)
+    return RhoQHaar(params)
 
 
 def _run_audit(args: argparse.Namespace, n_min: int, n_max: int) -> int:

@@ -532,25 +532,23 @@ def weighted_measure_direct(
     return ApproximantSequence.build(params.prime, terms, max(2, d - 2), note=note)
 
 
+#: the inner levels of a weighted-family ball value
+WEIGHTED_LEVELS = range(1, 6)
+
+
 class WeightedDistribution(Distribution):
-    """The f-weighted family as a Distribution (memoized ball values)."""
+    """The f-weighted family as a Distribution: memoized ball values, each the
+    limit estimate of `weighted_measure_sequence` over WEIGHTED_LEVELS."""
 
     family = "weighted"
 
-    def __init__(
-        self,
-        f: IntegrableFunction,
-        params: RhoQParams,
-        digits: int | None = None,
-        inner_levels: Sequence[int] | None = None,
-    ):
-        super().__init__(params, digits if digits is not None else params.precision)
+    def __init__(self, f: IntegrableFunction, params: RhoQParams):
+        super().__init__(params)
         self.f = f
-        self.inner_levels = list(inner_levels) if inner_levels is not None else list(range(1, 6))
 
     def _value(self, ball: Ball) -> PadicNumber:
         return weighted_measure_sequence(
-            self.f, self.params, ball, self.inner_levels, digits=self.digits
+            self.f, self.params, ball, WEIGHTED_LEVELS, digits=self.digits
         ).limit_estimate()
 
     def describe(self) -> dict:
@@ -579,23 +577,18 @@ def carlitz_bernoulli(
     )
 
 
-def bernoulli_comparison_report(
-    a: int,
-    params: RhoQParams,
-    levels: Sequence[int],
-    *,
-    digits: int | None = None,
-) -> dict:
-    """Measured beta at n=0 next to the printed closed form a*log(rho)/log(rho*q).
+def bernoulli_comparison_report(a: int, params: RhoQParams, levels: Sequence[int]) -> dict:
+    """Measured beta at n=0 next to the printed closed form a*log(rho)/log(rho*q),
+    both at the precision of the parameters.
 
     Emitted as a comparison, never an assertion: the measured integral of 1 is
     rho for every level, which the printed formula does not reproduce.
     """
     from .padic import padic_log
 
-    d = digits if digits is not None else params.precision
+    d = params.precision
     p = params.prime
-    seq = carlitz_bernoulli(0, a, params, levels, digits=d)
+    seq = carlitz_bernoulli(0, a, params, levels)
     measured = seq.limit_estimate()
     rho = PadicNumber(p, 0, params.rho_residue(d), d)
     q = PadicNumber(p, 0, params.q_residue(d), d)
@@ -658,24 +651,18 @@ class IntegralComparison:
 
 
 def integral_against_weighted(
-    g: IntegrableFunction,
-    weight_poly: IntegrableFunction,
-    params: RhoQParams,
-    outer_levels: Sequence[int],
-    *,
-    weighted: WeightedDistribution | None = None,
-    digits: int | None = None,
+    g: IntegrableFunction, weighted: WeightedDistribution, outer_levels: Sequence[int]
 ) -> IntegralComparison:
     """Riemann sums of g against the P-weighted measure vs the integral of gP.
 
-    Returns both sequences and the fitted lhs/rhs ratio; whether that ratio is
-    independent of g is for the caller (the audit battery) to decide.
+    P, the parameters and the precision are those of `weighted` (its `f`,
+    `params` and `digits`).  Returns both sequences and the fitted lhs/rhs
+    ratio; whether that ratio is independent of g is for the caller (the
+    audit battery) to decide.
     """
+    params, d = weighted.params, weighted.digits
     p = params.prime
-    d = digits if digits is not None else params.precision
     outer_levels = sorted(outer_levels)
-    if weighted is None:
-        weighted = WeightedDistribution(weight_poly, params, digits=d)
     terms = []
     for m in outer_levels:
         acc = PadicNumber.exact_zero(p)
@@ -685,7 +672,7 @@ def integral_against_weighted(
     lhs = ApproximantSequence.build(
         p, terms, max(2, d - 2), note="Riemann sums of %s against weighted measure" % g.describe()
     )
-    rhs = volkenborn_integral(product(g, weight_poly), params, outer_levels, digits=d)
+    rhs = volkenborn_integral(product(g, weighted.f), params, outer_levels, digits=d)
     ratio = None
     note = ""
     r_lim = rhs.limit_estimate()

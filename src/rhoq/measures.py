@@ -51,16 +51,20 @@ class Ball:
 class Distribution:
     """Lazy ball function with memoization (audit sweeps re-query balls heavily).
 
-    Values are pure given the parameters; the memo table follows a
-    read-mostly discipline (atomic dict writes, idempotent entries).
+    Values are pure given the parameters and known to `digits`, the
+    precision of the parameters; the memo table follows a read-mostly
+    discipline (atomic dict writes, idempotent entries).
     """
 
     family = "abstract"
 
-    def __init__(self, params: RhoQParams | None, digits: int):
+    def __init__(self, params: RhoQParams):
         self.params = params
-        self.digits = digits
         self._memo: dict[Ball, PadicNumber] = {}
+
+    @property
+    def digits(self) -> int:
+        return self.params.precision
 
     def value(self, ball: Ball) -> PadicNumber:
         hit = self._memo.get(ball)
@@ -78,10 +82,7 @@ class Distribution:
         return scale * self.value(ball)
 
     def describe(self) -> dict:
-        d = {"family": self.family, "digits": self.digits}
-        if self.params is not None:
-            d["params"] = self.params.describe()
-        return d
+        return {"family": self.family, "digits": self.digits, "params": self.params.describe()}
 
 
 def rhoq_haar_measure(ball: Ball, params: RhoQParams, digits: int | None = None) -> PadicNumber:
@@ -102,9 +103,6 @@ def rhoq_haar_measure(ball: Ball, params: RhoQParams, digits: int | None = None)
 class RhoQHaar(Distribution):
     family = "rhoq_haar"
 
-    def __init__(self, params: RhoQParams, digits: int | None = None):
-        super().__init__(params, digits if digits is not None else params.precision)
-
     def _value(self, ball: Ball) -> PadicNumber:
         return rhoq_haar_measure(ball, self.params, self.digits)
 
@@ -117,9 +115,13 @@ class LinearCombination(Distribution):
     def __init__(self, parts: Sequence[tuple[PadicNumber | int, Distribution]]):
         if not parts:
             raise ValueError("empty combination")
-        first = parts[0][1]
-        super().__init__(first.params, min(d.digits for _, d in parts))
+        super().__init__(parts[0][1].params)
         self.parts = list(parts)
+
+    @property
+    def digits(self) -> int:
+        """The fewest digits of the parts."""
+        return min(d.digits for _, d in self.parts)
 
     def _value(self, ball: Ball) -> PadicNumber:
         p = self.params.prime
@@ -141,26 +143,21 @@ def difference(d1: Distribution, d2: Distribution) -> LinearCombination:
 class DensityScaled(Distribution):
     """The measure associated to a pointwise density g.
 
-    value(a + p^N Z_p) = g(a) * (rho/q)^a * haar(ball); the (rho/q)^a factor
-    makes the rescaled values converge to g(a) itself.
+    value(a + p^N Z_p) = g(a) * (rho/q)^a * haar(a + p^N Z_p); the (rho/q)^a
+    factor makes the rescaled values converge to g(a) itself.  It cancels the
+    (q/rho)^a of the Haar value, which leaves g(a) * haar(p^N Z_p).
     """
 
     family = "density_scaled"
 
-    def __init__(
-        self, density: Callable[[int], PadicNumber], params: RhoQParams, digits: int | None = None
-    ):
-        super().__init__(params, digits if digits is not None else params.precision)
+    def __init__(self, density: Callable[[int], PadicNumber], params: RhoQParams):
+        super().__init__(params)
         self.density = density
 
     def _value(self, ball: Ball) -> PadicNumber:
-        p = self.params.prime
-        w = self.digits + ball.level
-        mod = p**w
-        ratio = self.params.ratio_residue(w)
-        twist = PadicNumber(p, 0, pow(ratio, -ball.rep, mod), w)
-        g = self.density(ball.rep)
-        return g * twist * rhoq_haar_measure(ball, self.params, w)
+        N = ball.level
+        haar = rhoq_haar_measure(Ball(ball.prime, 0, N), self.params, self.digits + N)
+        return self.density(ball.rep) * haar
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +178,7 @@ class InvarianceReport:
     one_admissible: bool
     better_decay_model: str
     family: str
-    params: dict | None
+    params: dict
 
     def describe(self) -> dict:
         return {
@@ -289,7 +286,7 @@ def check_invariance(
         one_admissible=one_adm,
         better_decay_model=better,
         family=dist.family,
-        params=params.describe() if params else None,
+        params=params.describe(),
     )
 
 

@@ -19,13 +19,6 @@ from math import inf
 from .padic import PadicNumber, PrecisionError, div
 
 
-def gap_exponent(d: PadicNumber) -> int | float:
-    """Certified vanishing exponent of a difference: d ≡ 0 mod p^e."""
-    if d.is_exact_zero:
-        return inf
-    return d.val  # a bounded zero O(p^a) included
-
-
 def gap_norm(d: PadicNumber) -> Fraction:
     """|d| as a rational; zero-residues count as 0 (zero at working precision)."""
     if d.is_zero_residue:
@@ -51,7 +44,9 @@ class ApproximantSequence:
 
     prime: int
     terms: list[tuple[int, PadicNumber]]
-    cauchy_rates: list[Fraction] = field(default_factory=list)
+    # per gap, e with |A_{N+1} - A_N| = p^-e: inf when the gap is zero at
+    # working precision, else its valuation
+    rate_exponents: list[int | float] = field(default_factory=list)
     gap_exponents: list[int | float] = field(default_factory=list)
     target_exponent: int | None = None
     converged_at: int | None = None
@@ -75,8 +70,8 @@ class ApproximantSequence:
         seq = cls(prime=prime, terms=list(terms), target_exponent=target_exponent, note=note)
         values = [t[1] for t in seq.terms]
         gaps = [values[i + 1] - values[i] for i in range(len(values) - 1)]
-        seq.cauchy_rates = [gap_norm(d) for d in gaps]
-        seq.gap_exponents = [gap_exponent(d) for d in gaps]
+        seq.rate_exponents = [inf if d.is_zero_residue else d.val for d in gaps]
+        seq.gap_exponents = [d.valuation for d in gaps]
         seq._declare(values, gaps)
         return seq
 
@@ -97,14 +92,14 @@ class ApproximantSequence:
             e_last = _aitken(values[-1], gaps[-2], gaps[-1])
             if e_prev is not None and e_last is not None:
                 self.extrapolants = [e_prev, e_last]
-                aitken_cert = gap_exponent(e_last - e_prev)
+                aitken_cert = (e_last - e_prev).valuation
                 aitken_limit = e_last
 
         # best-certified estimate, kept even when it misses the target
         if raw_cert is not None and (aitken_cert is None or raw_cert >= aitken_cert):
             self.best_estimate = values[-1]
             self.best_certified = raw_cert
-            self.best_method = "constant" if self.cauchy_rates[-1] == 0 else "cauchy"
+            self.best_method = "constant" if self.rate_exponents[-1] == inf else "cauchy"
         elif aitken_cert is not None:
             self.best_estimate = aitken_limit
             self.best_certified = aitken_cert
@@ -117,14 +112,20 @@ class ApproximantSequence:
             self.method = self.best_method
 
     def _gaps_strictly_decreasing(self) -> bool:
-        tail = self.cauchy_rates[-3:]
-        return len(tail) == 3 and tail[0] > tail[1] > tail[2] > 0
+        tail = self.rate_exponents[-3:]
+        return len(tail) == 3 and tail[0] < tail[1] < tail[2] < inf
 
     def _rates_non_increasing_tail(self) -> bool:
-        tail = self.cauchy_rates[-3:]
-        return all(tail[i] >= tail[i + 1] for i in range(len(tail) - 1))
+        tail = self.rate_exponents[-3:]
+        return all(tail[i] <= tail[i + 1] for i in range(len(tail) - 1))
 
     # -- accessors -------------------------------------------------------------
+
+    @property
+    def cauchy_rates(self) -> list[Fraction]:
+        """The rates |A_{N+1} - A_N| as rationals, 0 for a gap that is zero."""
+        p = Fraction(self.prime)
+        return [Fraction(0) if e == inf else p**-e for e in self.rate_exponents]
 
     @property
     def converged(self) -> bool:

@@ -140,7 +140,7 @@ def test_criterion_06_norm_bound_zero_violations():
 def test_criterion_07_closed_form_ratio_constancy():
     # tolerance pinned at t = m - 4 for the working precision of this run
     m = 10
-    cfg = AuditConfig(precision=m, tolerance_exponent=m - 4, outer_max=5, seed=7)
+    cfg = AuditConfig(precision=m, tolerance_exponent=m - 4, seed=7)
     rep = audit_closed_form(cfg)
     ratio_checks = [
         c
@@ -198,7 +198,7 @@ def test_criterion_09_decomposition_bounded_remainder():
 
 
 def test_criterion_10_audit_determinism():
-    cfg = AuditConfig(precision=10, n_max=4, inner_max=4, outer_max=3)
+    cfg = AuditConfig(precision=10, n_max=4)
     first = report_to_json(run_audits(cfg))
     second = report_to_json(run_audits(cfg))
     assert first == second

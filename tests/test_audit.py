@@ -17,7 +17,7 @@ from rhoq.cli import main, parse_function
 from rhoq.padic import PadicNumber
 
 
-LIGHT = dict(precision=10, n_max=4, inner_max=4, outer_max=3, theorems=("thm31", "thm34"))
+LIGHT = dict(precision=10, n_max=4, theorems=("thm31", "thm34"))
 
 
 class TestConfig:
@@ -64,7 +64,7 @@ class TestVerdictLogic:
     def test_whole_report_monotone_in_tolerance(self, rho, q, seed):
         # a stricter tolerance never moves a check or a verdict up FAIL < INCONCLUSIVE < PASS
         rank = {"FAIL": 0, "INCONCLUSIVE": 1, "PASS": 2}
-        small = dict(p=3, precision=10, rho_spec=rho, q_spec=q, n_max=3, inner_max=3, outer_max=2)
+        small = dict(p=3, precision=10, rho_spec=rho, q_spec=q, n_max=3)
 
         def verdicts(t):
             report = run_audits(AuditConfig(seed=seed, tolerance_exponent=t, **small))
@@ -128,8 +128,6 @@ class TestAuditRuns:
             q_spec="0",
             precision=10,
             n_max=4,
-            inner_max=4,
-            outer_max=3,
             theorems=("thm32",),
         )
         rep = run_audits(cfg)

@@ -4,13 +4,15 @@ library errors."""
 import io
 import json
 import os
+import re
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rhoq
 from rhoq.cli import EXIT_ERROR, _build_parser, main
@@ -20,6 +22,8 @@ from .oracles import mahler_forward_substitution, rhoq_binomial_exact
 
 DIGITS_RHO = "digits:1,1,0,0,0,0,0,0,0,0,0,0"
 DIGITS_Q = "digits:1,2,0,0,0,0,0,0,0,0,0,0"
+#: past any index-sized integer
+HUGE = "99999999999999999999"
 
 
 def in_process(argv):
@@ -141,7 +145,8 @@ class TestMalformedInvocation:
 
 class TestMalformedFunctionSpec:
     """A spec with a parameter that does not fit its form is refused with one
-    line that names the form, whichever Python error the parameter raised."""
+    line that names the form, whichever Python error the parameter raised
+    (an exponent past the size of a list raises OverflowError)."""
 
     CASES = {
         "x^": "x^K with an integer K >= 0",
@@ -149,6 +154,8 @@ class TestMalformedFunctionSpec:
         "const:": "const:C with a rational C",
         "[x]^a": "[x]^K with an integer K >= 0",
         "exp:": "exp:C with a rational C",
+        "x^" + HUGE: "x^K with an integer K >= 0",
+        "[x]^" + HUGE: "[x]^K with an integer K >= 0",
     }
 
     @pytest.mark.parametrize("spec", CASES.keys())
@@ -225,3 +232,118 @@ class TestPointValuesReadTheNormalForm:
             known = int(text[len("O(5^"):text.index(")")])
             assert known >= 12
             assert text == c.reduce_abs(known).digit_string()
+
+#: the token mutations of the fuzz; the last four make any token malformed
+MUTATIONS = ("negative", "huge", "empty", "zero-denominator", "non-digits", "stray-colon")
+MALFORMED = MUTATIONS[2:]
+
+
+def mutate(token: str, kind: str) -> str:
+    """`token` with one defect; a huge or non-digit value replaces its first digit run."""
+    if kind == "empty":
+        return ""
+    if kind == "negative":
+        return "-" + token
+    if kind == "zero-denominator":
+        return token + "/0"
+    if kind == "stray-colon":
+        return token + ":"
+    new = HUGE if kind == "huge" else "z"
+    return re.sub(r"\d+", new, token, count=1) if re.search(r"\d", token) else new
+
+
+@st.composite
+def invocations(draw):
+    """(command, argv, mutation) drawn from the README grammar, small enough to
+    run in milliseconds: p in {3, 5}, NMAX <= 3, --order <= 6.
+
+    Tokens are (text, sized) pairs.  A sized value is a size the command runs
+    to (precision, ball level, Bernoulli order, Mahler order); it is never
+    made huge, since such a size is parsed and then run for as long as it
+    says.  A huge value replaces the first digit run of a token, so NMAX and
+    the N of mixed:A,N are not made huge either.  `audit` is drawn only with
+    a malformed token, so it never runs."""
+    small = st.integers(min_value=0, max_value=3)
+    p = draw(st.sampled_from([3, 5]))
+    k, a, n = draw(small), draw(small), draw(small)
+    spec = draw(st.sampled_from([
+        "1", "const:%d/%d" % (a, n + 1), "x", "x^%d" % k, "[x]", "[x]^%d" % k, "qrho^x",
+        "exp:%d" % (1 + p), "mixed:%d,%d" % (a, n),
+    ]))
+    unit = st.sampled_from(["0", "1", "2", "1/11", "digits:1,1" + ",0" * 10])
+    n_min = draw(st.integers(min_value=1, max_value=3))
+    flags = {
+        "--p": (str(p), False),
+        "--prec": (str(draw(st.integers(min_value=6, max_value=10))), True),
+        "--rho": (draw(unit), False),
+        "--q": (draw(unit), False),
+        "--levels": ("%d:%d" % (n_min, draw(st.integers(n_min, 3))), False),
+        "--seed": (str(draw(small)), False),
+        "--tol": (str(draw(st.integers(min_value=2, max_value=8))), False),
+        "--out": (draw(st.sampled_from(["json", "csv", "table"])), False),
+    }
+    commands = ["measure", "integrate", "bernoulli", "mahler", "rn-deriv", "audit"]
+    command = draw(st.sampled_from(commands))
+    weight = [("--weight", False), (spec, False)] if draw(st.booleans()) else []
+    if command == "measure":
+        if draw(st.booleans()):
+            body = [("--ball", False), (str(draw(st.integers(0, 30))), False), (str(k + 1), True)]
+        else:
+            body = [("--invariance", False)]
+        body += weight
+    elif command == "integrate":
+        body = [("--function", False), (spec, False)]
+    elif command == "bernoulli":
+        body = [("--n", False), (str(n), True), ("--a", False), (str(a), False)]
+        body += [("--compare", False)] if draw(st.booleans()) else []
+    elif command == "mahler":
+        order = str(draw(st.integers(0, 6)))
+        body = [("--function", False), (spec, False), ("--order", False), (order, True)]
+    elif command == "rn-deriv":
+        body = [("--x", False), (str(draw(st.integers(0, 30))), False)] + weight
+    else:
+        body = [(draw(st.sampled_from(["all", "thm31", "thm34", "lipschitz"])), False)]
+    # global flags go before or after the subcommand
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True))
+    first = {flag: draw(st.booleans()) for flag in chosen}
+    before = [tok for f in chosen if first[f] for tok in ((f, False), flags[f])]
+    after = [tok for f in chosen if not first[f] for tok in ((f, False), flags[f])]
+    tokens = before + [(command, False)] + body + after
+    mutation = None
+    if command == "audit" or draw(st.booleans()):
+        i = draw(st.sampled_from([i for i, (text, _) in enumerate(tokens) if text[:2] != "--"]))
+        text, sized = tokens[i]
+        kinds = MALFORMED if command == "audit" else MUTATIONS
+        kind = draw(st.sampled_from([k for k in kinds if not (sized and k == "huge")]))
+        tokens[i] = (mutate(text, kind), sized)
+        mutation = (i, kind)
+    return command, [text for text, _ in tokens], mutation
+
+
+class TestArgvFuzz:
+    """Any argv from the README grammar, mutated or not, ends in one of the
+    four exit codes: no traceback, one `rhoq: error:` line for exit 3, and
+    the FAIL and INCONCLUSIVE codes only from `audit`."""
+
+    @settings(max_examples=300)
+    @given(invocations())
+    def test_exit_codes(self, drawn):
+        command, argv, _ = drawn
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if code == 3:
+            assert out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("rhoq: error: ")
+        else:
+            assert err == ""
+        if code in (1, 2):
+            assert command == "audit"
+        if command == "audit":  # drawn only with a malformed token
+            assert code == 3

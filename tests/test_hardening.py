@@ -62,7 +62,7 @@ class _BlowupDistribution(Distribution):
     family = "blowup"
 
     def __init__(self, pr):
-        super().__init__(pr, pr.precision)
+        super().__init__(pr)
 
     def _value(self, ball: Ball) -> PadicNumber:
         base = rhoq_haar_measure(ball, self.params, self.digits)
@@ -107,8 +107,7 @@ class TestDegenerateParameters:
         from rhoq.audit import audit_closed_form
 
         cfg = AuditConfig(
-            rho_spec="0", q_spec="0", precision=10, n_max=4, inner_max=4, outer_max=3,
-            tolerance_exponent=3,
+            rho_spec="0", q_spec="0", precision=10, n_max=4, tolerance_exponent=3,
         )
         rep = audit_closed_form(cfg)
         assert rep.verdict != "FAIL"
@@ -120,18 +119,18 @@ class TestDegenerateParameters:
 
 class TestCrossPrime:
     def test_audits_pass_at_p3(self):
-        cfg = AuditConfig(p=3, precision=10, n_max=4, inner_max=4, outer_max=3)
+        cfg = AuditConfig(p=3, precision=10, n_max=4)
         assert audit_lipschitz(cfg).verdict == "PASS"
         assert audit_decomposition(cfg).verdict == "PASS"
 
     def test_audits_pass_at_p7(self):
-        cfg = AuditConfig(p=7, precision=10, n_max=3, inner_max=3, outer_max=3)
+        cfg = AuditConfig(p=7, precision=10, n_max=3)
         assert audit_lipschitz(cfg).verdict == "PASS"
         assert audit_decomposition(cfg).verdict == "PASS"
 
     def test_weighted_distribution_memo_shared_across_checks(self):
         pr = params(prec=12)
-        d = WeightedDistribution(bracket_power(1), pr, 12, range(1, 4))
+        d = WeightedDistribution(bracket_power(1), pr)
         ball = Ball(5, 3, 2)
         first = d.value(ball)
         assert d.value(ball) is first  # memo hit returns the same object
@@ -189,8 +188,7 @@ class TestEngineFuzz:
 
 class TestDeterminismAcrossProcessesShape:
     def test_report_has_no_environment_dependent_fields(self):
-        rep = run_audits(AuditConfig(precision=10, n_max=3, inner_max=3, outer_max=2,
-                                     theorems=("thm31",)))
+        rep = run_audits(AuditConfig(precision=10, n_max=3, theorems=("thm31",)))
         text = str(rep).lower()
         for token in ("timestamp", "hostname", "pid", "date"):
             assert token not in text

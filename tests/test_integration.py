@@ -377,7 +377,8 @@ class TestBernoulli:
 class TestIntegralIdentity:
     def test_classical_ratio_is_one(self):
         pr = RhoQParams.classical(5, 12)
-        comp = integral_against_weighted(const(1), bracket_power(1), pr, range(1, 4))
+        weighted = WeightedDistribution(bracket_power(1), pr)
+        comp = integral_against_weighted(const(1), weighted, range(1, 4))
         assert comp.fitted_ratio is not None
         one = padic_from_integer(1, 5, 12)
         assert comp.fitted_ratio.agrees(one, 3)
@@ -385,12 +386,10 @@ class TestIntegralIdentity:
     def test_ratio_independent_of_g(self):
         pr = params(prec=12)
         weight = bracket_power(1)
-        shared = WeightedDistribution(weight, pr, digits=12, inner_levels=range(1, 5))
+        shared = WeightedDistribution(weight, pr)
         ratios = []
         for g in (const(1), coordinate(), ratio_exponential()):
-            comp = integral_against_weighted(
-                g, weight, pr, range(1, 4), weighted=shared
-            )
+            comp = integral_against_weighted(g, shared, range(1, 4))
             if comp.fitted_ratio is not None:
                 ratios.append(comp.fitted_ratio)
         assert len(ratios) >= 2

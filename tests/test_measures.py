@@ -30,7 +30,7 @@ class ZeroDistribution(Distribution):
     family = "zero"
 
     def __init__(self, params: RhoQParams):
-        super().__init__(params, params.precision)
+        super().__init__(params)
 
     def _value(self, ball: Ball) -> PadicNumber:
         return PadicNumber.exact_zero(self.params.prime)
