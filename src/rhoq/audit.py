@@ -412,10 +412,19 @@ def audit_closed_form(cfg: AuditConfig) -> AuditReport:
     # one level beyond the window: extraction headroom for the extrapolants
     rn_levels = range(cfg.n_min, cfg.n_max + 2)
 
-    for k in (1, 2, 3):
-        weight = bracket_power(k)
-        dist = WeightedDistribution(weight, params)
+    dists = [WeightedDistribution(bracket_power(k), params) for k in (1, 2, 3)]
+    g_battery = [
+        const(1),
+        coordinate(),
+        poly_in_x([0, 0, 1], label="x^2"),
+        ratio_exponential(),
+    ]
+    outer = range(1, min(OUTER_CAP, cfg.n_max) + 1)
+    # (iii)'s comparisons per g, one per weight: the weights share each g grid.
+    # Made at k = 1's (iii), so that a failing check fails where it did.
+    comparisons: list[list] = []
 
+    for k, dist in zip((1, 2, 3), dists):
         # (i) invariance classification
         report = check_invariance(
             dist, range(cfg.n_min, min(cfg.n_max, 3) + 1), seed=cfg.seed
@@ -498,19 +507,14 @@ def audit_closed_form(cfg: AuditConfig) -> AuditReport:
         )
 
         # (iii) integral identity ratio across the g battery
-        g_battery = [
-            const(1),
-            coordinate(),
-            poly_in_x([0, 0, 1], label="x^2"),
-            ratio_exponential(),
-        ]
         g_ratios = []
         cert_iii: int | float = cert_ii
-        outer = range(1, min(OUTER_CAP, cfg.n_max) + 1)
-        for i, g in enumerate(g_battery):
-            comp = integral_against_weighted(g, dist, outer)
+        if not comparisons:
+            comparisons = [integral_against_weighted(g, dists, outer) for g in g_battery]
+        for i, per_weight in enumerate(comparisons):
+            comp = per_weight[k - 1]
             if comp.fitted_ratio is not None:
-                g_ratios.append((g.describe(), comp.fitted_ratio))
+                g_ratios.append((comp.g_label, comp.fitted_ratio))
                 cert_iii = min(cert_iii, comp.ratio_certified)
                 if k == 1 and i == 0:  # g = 1, the head of the battery
                     traces["integral identity (k=1, g=1)"] = comp.describe()

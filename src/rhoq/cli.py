@@ -86,7 +86,8 @@ def parse_function(spec: str) -> IntegrableFunction:
         if s.startswith("mixed:"):
             a, n = s.split(":", 1)[1].split(",")
             return mixed_power(int(a), int(n))
-    except (ValueError, OverflowError):  # OverflowError: K past the size of a list
+    # OverflowError: K past the size of a list; MemoryError: a list of K + 1 that cannot be had
+    except (ValueError, OverflowError, MemoryError):
         form = next(form for prefix, form in _SPEC_FORMS.items() if s.startswith(prefix))
         _build_parser().error("function spec %r: expected %s" % (spec, form))
     _build_parser().error("unrecognized function spec %r" % spec)

@@ -7,9 +7,11 @@ Every integrand is an exponential polynomial: with
 [x] = (rho^x - q^x)/(rho - q), or x q^(x-1) at rho = q, `lower` writes it
 once as p^-v sum P_b(x) b^x with residue coefficients; `lower` is the one
 interpreter of the integrand tree.  The level sums over x = a + p^n y read
-one moment table per (integrand, step), the sums of y^k C^y with
-C = (b q/rho)^(p^n), which does not depend on a: the p^n balls of a level
-share one pass over the points.  Point values (the Riemann sums, the Mahler
+one moment table per (integrand, step), which does not depend on a: per
+base and level it holds the level sum as a polynomial in the shift a, made
+once from the sums of y^k C^y with C = (b q/rho)^(p^n), so the p^n balls of
+a level share one pass over the points and each ball pays a Horner pass per
+level and a power of the base.  Point values (the Riemann sums, the Mahler
 solve, the grid norms) read the same form, one `values` call per grid.
 A general continuous f reaches the integrals the paper's way, through its
 Mahler expansion: `mahler_coefficients` -> `mahler_function`, a series in
@@ -17,11 +19,14 @@ the Gaussian binomials, which lowers like every other family.
 
 The integral and the weighted ball values are one quantity,
 rho^(p^M)/[p^M] * sum f(x) (q/rho)^x over x = a + p^n y, y < p^m, and one
-builder (`_level_terms`) forms it for all three: the plain integral
+builder (`_level_batch`) forms it for all three: the plain integral
 (a = n = 0, M = m), the direct restricted sums (M = n + m), and the
 restriction identity (M = m at parameters lifted by n, times 1/[p^n]).  The
 last two reach the same ball value through different arithmetic, which is
-what makes their cross-check worth running.
+what makes their cross-check worth running.  The builder takes a sequence
+of shifts: a single ball is the one-shift case (`_level_terms`), and a whole
+level of weighted ball values, as the Riemann sums of the integral identity
+read them, is one batch (`WeightedDistribution.level_values`).
 """
 
 from __future__ import annotations
@@ -29,8 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .calculus import (
     RhoQParams,
@@ -39,7 +45,7 @@ from .calculus import (
     vp_factorial,
 )
 from .measures import Ball, Distribution
-from .padic import DomainError, PadicNumber, PrecisionError, div, vp
+from .padic import DomainError, PadicNumber, PrecisionError, _new, div, vp
 from .sequences import ApproximantSequence
 
 # ---------------------------------------------------------------------------
@@ -300,12 +306,20 @@ MEMO_SIZE = 4096
 def _moment_table(
     f: IntegrableFunction, params: RhoQParams, w: int, step: int, max_level: int
 ) -> tuple[NormalForm, tuple]:
-    """f's normal form and, per base b, T[m][k] = sum over y < p^m of
-    y^k C^y mod p^W with C = (b q/rho)^step, for m = 0..max_level.
+    """f's normal form and, per base b, (B, rows) with B = b q/rho mod p^W and
+    rows[m], m = 0..max_level, the level sum at shift a over B^a as a
+    polynomial in a:
+
+        sum over y < p^m of P_b(a + step y) B^(step y) = sum_i r_m,i a^i,
+        r_m,i = sum_k c_(i+k) binom(i+k, k) step^k T_m[k],
+
+    highest degree first, where c_j are the coefficients of P_b and
+    T_m[k] = sum over y < p^m of y^k C^y mod p^W with C = B^step.
 
     Nothing here depends on a progression's shift, so every ball of a level
-    reads its sums off one table.  One pass over y < p^max_level adds up the
-    exact products C^y y^k and reduces mod p^W at the level ends only.
+    reads its sums off one table: a shift costs one Horner pass per level and
+    one power B^a.  One pass over y < p^max_level adds up the exact products
+    C^y y^k and reduces mod p^W at the level ends only.
     """
     nf = lower(f, params, w)
     params.require_digits(w)
@@ -313,13 +327,20 @@ def _moment_table(
     tables = []
     for base, coeffs in nf.terms:
         if not any(coeffs):  # the zero form: every sum vanishes
-            tables.append(())
+            tables.append((1, ()))
             continue
-        c = pow(base * nf.ratio % mod, step, mod)
+        B = base * nf.ratio % mod
+        c = pow(B, step, mod)
         powers = [1]  # C^j for j < BLOCK: the points run through in blocks
         for _ in range(min(BLOCK, p**max_level) - 1):
             powers.append(powers[-1] * c % mod)
-        sums, rows, e, start = [0] * len(coeffs), [], 1, 0  # e = C^start
+        # taylor[k][i] = binom(i + k, k) step^k c_(i+k), with c lowest degree first
+        low = coeffs[::-1]
+        taylor, sk = [], 1
+        for k in range(len(low)):
+            taylor.append([comb(i + k, k) * sk * low[i + k] % mod for i in range(len(low) - k)])
+            sk = sk * step % mod
+        sums, rows, e, start = [0] * len(low), [], 1, 0  # e = C^start
         for end in (p**m for m in range(max_level + 1)):
             for lo in range(start, end, BLOCK):
                 ys = range(lo, min(lo + BLOCK, end))
@@ -331,9 +352,51 @@ def _moment_table(
                 e = e * pow(c, len(ys), mod) % mod
             start = end
             sums = [x % mod for x in sums]
-            rows.append(tuple(sums))
-        tables.append(tuple(rows))
+            shifted = [0] * len(low)
+            for t, row in zip(sums, taylor):
+                for i, x in enumerate(row):
+                    shifted[i] += t * x
+            rows.append(tuple(x % mod for x in reversed(shifted)))
+        tables.append((B, tuple(rows)))
     return nf, tuple(tables)
+
+
+def _progression_batch(
+    f: IntegrableFunction,
+    params: RhoQParams,
+    max_level: int,
+    shifts: Iterable[int],
+    step: int,
+    w: int,
+) -> tuple[Iterator[list[int | None]], int]:
+    """`progression_sums` for every shift in shifts, read off one moment
+    table: (the sums of each shift in turn, deficiency).
+
+    The table is looked up here; the sums are made as they are read.  Each
+    shift costs one Horner pass per base and level and one power B^a, a
+    single product when the shift follows the one before.
+    """
+    p = params.prime
+    nf, tables = _moment_table(f, params, w, step, max_level)
+    mod, scale, out = p**nf.W, p**nf.v, p**w
+
+    def sums() -> Iterator[list[int | None]]:
+        last, powers = None, [1] * len(tables)
+        for a in shifts:
+            acc = [0] * (max_level + 1)
+            for j, (B, rows) in enumerate(tables):
+                b = powers[j] * B % mod if last == a - 1 else pow(B, a, mod)
+                powers[j] = b
+                for m, row in enumerate(rows):
+                    r = 0
+                    for c in row:
+                        r = r * a + c
+                    acc[m] += b * (r % mod)
+            last = a
+            acc = [s % mod for s in acc]
+            yield [s // scale % out if s % scale == 0 else None for s in acc]
+
+    return sums(), nf.deficiency
 
 
 def progression_sums(
@@ -352,25 +415,13 @@ def progression_sums(
     A sum with p in its denominator (from a coefficient's) is None.
 
     f is lowered once per moment table to p^-v sum P_b(x) b^x.  The weight
-    folds into every base; with Q_b(y) = P_b(shift + step y) = sum a_k y^k
-    (a Taylor shift, O(deg^2)), a level sum is b^shift sum_k a_k T_b[m][k]
-    over the shift-free moment table T of `_moment_table`, and the total is
-    divided by p^v exactly.
+    folds into every base B = b q/rho; a level sum is B^shift times the
+    table's shift polynomial of the level at the shift (see `_moment_table`),
+    and the total is divided by p^v exactly.  The one-shift case of
+    `_progression_batch`.
     """
-    p = params.prime
-    nf, tables = _moment_table(f, params, w, step, max_level)
-    mod = p**nf.W
-    out = [0] * (max_level + 1)
-    for (base, coeffs), rows in zip(nf.terms, tables):
-        a: list[int] = []  # Q_b, lowest degree first: Horner, a <- a (shift + step y) + c
-        for c in coeffs:
-            a = [(shift * x + step * y) % mod for x, y in zip(a + [0], [0] + a)]
-            a[0] = (a[0] + c) % mod
-        scale = pow(base * nf.ratio % mod, shift, mod)
-        for m, row in enumerate(rows):
-            out[m] += scale * sum(map(mul, a, row))
-    out, scale = [s % mod for s in out], p**nf.v
-    return [s // scale % p**w if s % scale == 0 else None for s in out], nf.deficiency
+    sums, deficiency = _progression_batch(f, params, max_level, (shift,), step, w)
+    return next(sums), deficiency
 
 
 def values(
@@ -429,6 +480,47 @@ def _level_factors(
     return tuple(factors)
 
 
+def _level_batch(
+    f: IntegrableFunction,
+    params: RhoQParams,
+    levels: Sequence[int],
+    d: int,
+    shifts: Iterable[int],
+    n: int = 0,
+    lifted: bool = False,
+) -> Iterator[list[tuple[int, PadicNumber]]]:
+    """The terms of `_level_terms` for every shift in shifts, one list per
+    shift in turn, off one moment table and one set of level factors.
+
+    Made as they are read, the lookups at the first read: a caller that
+    builds each ball's sequence as its terms come out never holds a whole
+    level of term lists, and one that reads nothing looks nothing up.
+    """
+    p = params.prime
+    levels = tuple(levels)
+    top = max(levels, default=0)
+    w = d + n + top + 1
+    batch, deficiency = _progression_batch(f, params, top, shifts, p**n, w)
+    known = w - deficiency
+    factors = _level_factors(params, levels, n, known, lifted)
+    mod = p**known
+    for sums in batch:
+        terms = []
+        for m, factor in zip(levels, factors):
+            s = sums[m]
+            if s is None:
+                raise DomainError("level sum with negative valuation")
+            s %= mod
+            if s:  # factor * s; a factor is never zero: units over nonzero brackets
+                v = vp(s, p)
+                r = min(factor.digits, known - v)
+                term = _new(p, factor.val + v, factor.unit * (s // p**v) % p**r, r)
+            else:
+                term = PadicNumber.bounded_zero(p, factor.val + known)
+            terms.append((m, term))
+        yield terms
+
+
 def _level_terms(
     f: IntegrableFunction,
     params: RhoQParams,
@@ -448,23 +540,10 @@ def _level_terms(
     costs one product: the sum times its factor from `_level_factors`, which
     is shared by every ball of the level.  A product or quotient keeps the
     sum of the valuations and the fewest digits, so folding the factors
-    first gives the same value as dividing per ball.
+    first gives the same value as dividing per ball.  The one-shift case of
+    `_level_batch`.
     """
-    p = params.prime
-    levels = tuple(levels)
-    top = max(levels, default=0)
-    w = d + n + top + 1
-    sums, deficiency = progression_sums(f, params, top, shift, p**n, w)
-    known = w - deficiency
-    mod = p**known
-    terms = []
-    for m, factor in zip(levels, _level_factors(params, levels, n, known, lifted)):
-        if sums[m] is None:
-            raise DomainError("level sum with negative valuation")
-        s = sums[m] % mod
-        s_p = PadicNumber.from_integer(s, p, known) if s else PadicNumber.bounded_zero(p, known)
-        terms.append((m, factor * s_p))
-    return terms
+    return next(_level_batch(f, params, levels, d, (shift,), n, lifted))
 
 
 def volkenborn_integral(
@@ -550,6 +629,20 @@ class WeightedDistribution(Distribution):
         return weighted_measure_sequence(
             self.f, self.params, ball, WEIGHTED_LEVELS, digits=self.digits
         ).limit_estimate()
+
+    def level_values(self, level: int) -> list[PadicNumber]:
+        """value(a + p^level Z_p) for a = 0..p^level - 1.  The balls not yet
+        in the memo are made in one batch (`_level_batch`) and memoized, each
+        as its terms come out; the values are those of `_value`."""
+        p, d = self.params.prime, self.digits
+        balls = [Ball(p, a, level) for a in range(p**level)]
+        missing = [ball for ball in balls if ball not in self._memo]
+        batch = _level_batch(
+            self.f, self.params, WEIGHTED_LEVELS, d, [b.rep for b in missing], level, lifted=True
+        )
+        for ball, terms in zip(missing, batch):
+            self._memo[ball] = ApproximantSequence.build(p, terms, max(2, d - 2)).limit_estimate()
+        return [self._memo[ball] for ball in balls]
 
     def describe(self) -> dict:
         d = super().describe()
@@ -651,24 +744,40 @@ class IntegralComparison:
 
 
 def integral_against_weighted(
-    g: IntegrableFunction, weighted: WeightedDistribution, outer_levels: Sequence[int]
-) -> IntegralComparison:
-    """Riemann sums of g against the P-weighted measure vs the integral of gP.
+    g: IntegrableFunction, weights: Sequence[WeightedDistribution], outer_levels: Sequence[int]
+) -> list[IntegralComparison]:
+    """Riemann sums of g against each P-weighted measure vs the integral of gP,
+    one comparison per distribution in weights.
 
-    P, the parameters and the precision are those of `weighted` (its `f`,
-    `params` and `digits`).  Returns both sequences and the fitted lhs/rhs
-    ratio; whether that ratio is independent of g is for the caller (the
-    audit battery) to decide.
+    P, the parameters and the precision are those of each distribution (its
+    `f`, `params` and `digits`); the distributions share their parameters, so
+    g is read once per level for all of them, and every level of ball values
+    is filled in one batch (`WeightedDistribution.level_values`).  Returns
+    both sequences and the fitted lhs/rhs ratio; whether that ratio is
+    independent of g is for the caller (the audit battery) to decide.
     """
-    params, d = weighted.params, weighted.digits
+    params, d = weights[0].params, weights[0].digits
+    if any(weighted.params != params for weighted in weights):
+        raise ValueError("the weighted distributions must share their parameters")
     p = params.prime
     outer_levels = sorted(outer_levels)
-    terms = []
+    terms: list[list] = [[] for _ in weights]
     for m in outer_levels:
-        acc = PadicNumber.exact_zero(p)
-        for i, gi in enumerate(values(g, params, range(p**m), d + m + 2)):
-            acc = acc + gi * weighted.value(Ball(p, i, m))
-        terms.append((m, acc))
+        gs = values(g, params, range(p**m), d + m + 2)
+        for weighted, out in zip(weights, terms):
+            acc = PadicNumber.exact_zero(p)
+            for gi, vi in zip(gs, weighted.level_values(m)):
+                acc = acc + gi * vi
+            out.append((m, acc))
+    return [_comparison(g, w, t, outer_levels) for w, t in zip(weights, terms)]
+
+
+def _comparison(
+    g: IntegrableFunction, weighted: WeightedDistribution, terms: list, outer_levels: list[int]
+) -> IntegralComparison:
+    """The comparison of g against one weight, from its Riemann sums."""
+    params, d = weighted.params, weighted.digits
+    p = params.prime
     lhs = ApproximantSequence.build(
         p, terms, max(2, d - 2), note="Riemann sums of %s against weighted measure" % g.describe()
     )

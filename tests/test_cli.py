@@ -146,7 +146,9 @@ class TestMalformedInvocation:
 class TestMalformedFunctionSpec:
     """A spec with a parameter that does not fit its form is refused with one
     line that names the form, whichever Python error the parameter raised
-    (an exponent past the size of a list raises OverflowError)."""
+    (an exponent past the size of a list raises OverflowError, and one whose
+    list of K + 1 coefficients cannot be allocated MemoryError: 10^12 of them
+    is 8 TB, refused at once)."""
 
     CASES = {
         "x^": "x^K with an integer K >= 0",
@@ -156,6 +158,8 @@ class TestMalformedFunctionSpec:
         "exp:": "exp:C with a rational C",
         "x^" + HUGE: "x^K with an integer K >= 0",
         "[x]^" + HUGE: "[x]^K with an integer K >= 0",
+        "x^%d" % 10**12: "x^K with an integer K >= 0",
+        "[x]^%d" % 10**12: "[x]^K with an integer K >= 0",
     }
 
     @pytest.mark.parametrize("spec", CASES.keys())

@@ -378,7 +378,7 @@ class TestIntegralIdentity:
     def test_classical_ratio_is_one(self):
         pr = RhoQParams.classical(5, 12)
         weighted = WeightedDistribution(bracket_power(1), pr)
-        comp = integral_against_weighted(const(1), weighted, range(1, 4))
+        [comp] = integral_against_weighted(const(1), [weighted], range(1, 4))
         assert comp.fitted_ratio is not None
         one = padic_from_integer(1, 5, 12)
         assert comp.fitted_ratio.agrees(one, 3)
@@ -389,7 +389,7 @@ class TestIntegralIdentity:
         shared = WeightedDistribution(weight, pr)
         ratios = []
         for g in (const(1), coordinate(), ratio_exponential()):
-            comp = integral_against_weighted(g, shared, range(1, 4))
+            [comp] = integral_against_weighted(g, [shared], range(1, 4))
             if comp.fitted_ratio is not None:
                 ratios.append(comp.fitted_ratio)
         assert len(ratios) >= 2

@@ -2,17 +2,24 @@
 parameters (classical, rho = q != 1, nu(rho - q) up to 4), progressions and
 integrand families, Mahler series with coefficients known to few digits
 included; one process that reads many progressions off the shared
-moment tables; and the folded per-level factors against the chain of
-products and divisions they replace."""
+moment tables; the tables' shift polynomials at shifts past the step and
+past the levels; the folded per-level factors against the chain of products
+and divisions they replace; a whole level of weighted ball values in one
+batch against the single-ball route; and the moment-table lookups of one
+thm33 report."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rhoq import cli
 from rhoq.calculus import RhoQParams, rhoq_integer
 from rhoq.integration import (
+    WEIGHTED_LEVELS,
+    WeightedDistribution,
     _level_terms,
+    _moment_table,
     bracket_power,
     const,
     exponential,
@@ -23,7 +30,9 @@ from rhoq.integration import (
     product,
     progression_sums,
     ratio_exponential,
+    weighted_measure_sequence,
 )
+from rhoq.measures import Ball
 from rhoq.padic import PadicNumber, div
 
 from .oracles import bracket, progression_partial_sums, rat_mod, rhoq_binomial_exact
@@ -165,3 +174,92 @@ def test_folded_level_factors_match_the_unfused_chain(p, regime, lifted):
             assert got == [(t.val, t.unit, t.digits) for t in unfused], (f.describe(), shift, n)
             if f == const(0):  # every level sum is a bounded zero
                 assert all(t.is_zero_residue and not t.is_exact_zero for _, t in folded)
+
+
+@pytest.mark.parametrize("step_power", [0, 1, 2], ids=["step=1", "step=p", "step=p^2"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_shift_polynomials_at_large_shifts(p, step_power):
+    """Each table row is the level sum as a polynomial in the shift a: with
+    the base B, B^a row(a) / p^v is the sum over y < p^m of f(a + step y)
+    (q/rho)^(a + step y).  A degree-4 polynomial times an exponential, at
+    the classical parameters, lowers to one base of degree 4, so every
+    binomial and step^k factor of the rows is used; the shifts are at or
+    above the step and above p^max_level."""
+    params = RhoQParams.classical(p, 10)
+    coeffs = [3, Fraction(-1, 2), 5, 0, Fraction(7, 4)]
+    b = Fraction(1 + 2 * p)
+    f = product(poly_in_x(coeffs), exponential(b))
+
+    def value(x):
+        return sum(c * x**k for k, c in enumerate(coeffs)) * b**x
+
+    step, levels, w = p**step_power, 2, 9
+    nf, tables = _moment_table(f, params, w, step, levels)
+    [(big, rows)] = tables
+    assert [len(row) for row in rows] == [5] * (levels + 1)
+    mod, scale = p**nf.W, p**nf.v
+    shifts = [step, step + 1, 2 * step + 3, p**levels + 1, 5 * p**levels + 2, p ** (levels + 3) - 1]
+    for a in shifts:
+        exact = progression_partial_sums(value, 1, 1, a, step, [p**m for m in range(levels + 1)])
+        want = [rat_mod(e, p, w) for e in exact]
+        got = []
+        for row in rows:
+            r = sum(c * a**i for i, c in enumerate(reversed(row)))
+            s = pow(big, a, mod) * r % mod
+            assert s % scale == 0
+            got.append(s // scale % p**w)
+        assert got == want, (a, step)
+        assert progression_sums(f, params, levels, a, step, w) == (want, 0)
+
+
+@pytest.mark.parametrize("regime", ["deformed", "classical", "rho=q"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_level_batch_matches_single_balls(p, regime):
+    """`level_values` against `weighted_measure_sequence(...).limit_estimate()`
+    field for field, on every ball of levels 1..3; one ball is read through
+    `value` before its level's batch and one after, and the batch keeps the
+    first and serves the second from the memo."""
+    offsets = {"deformed": (1, 2), "classical": (0, 0), "rho=q": (1, 1)}[regime]
+    params = RhoQParams.from_offsets(p, *offsets, 8)
+    weights = (
+        bracket_power(3),
+        poly_in_x([0, 0, 0, 1]),
+        mixed_power(1, 2),
+        # p in a denominator at each prime: -1/3, 1/7, and [5]! in the binomial of order 6
+        mahler_function([1, 2, Fraction(-1, 3), 0, 4, Fraction(1, 7), 1]),
+        const(0),
+    )
+
+    def fields(v):
+        return v.val, v.unit, v.digits
+
+    for f in weights:
+        dist = WeightedDistribution(f, params)
+        before = dist.value(Ball(p, 1, 2))
+        for m in (1, 2, 3):
+            batch = dist.level_values(m)
+            assert len(batch) == p**m
+            for a, v in enumerate(batch):
+                single = weighted_measure_sequence(
+                    f, params, Ball(p, a, m), WEIGHTED_LEVELS, digits=params.precision
+                ).limit_estimate()
+                assert fields(v) == fields(single), (f.describe(), a, m)
+        assert dist.level_values(2)[1] is before
+        after = Ball(p, p + 2, 3)
+        assert dist.value(after) is dist.level_values(3)[p + 2]
+        if f == const(0):
+            assert all(v.is_zero_residue and not v.is_exact_zero for v in dist.level_values(3))
+
+
+def test_moment_table_lookups_of_one_thm33_report(capsys):
+    """The moment-table lookups of `audit thm33 --p 3 --levels 1:5 --tol 5`:
+    one per level fill of each weight (3 x 5), one per integral of gP (12)
+    and one per single ball: those that k = 1's invariance and density
+    checks read before the fills, and the level-6 balls of every density
+    extraction.  A lookup per Riemann-sum ball, as before the level
+    batches, makes 1,123."""
+    _moment_table.cache_clear()
+    assert cli.main(["audit", "thm33", "--p", "3", "--levels", "1:5", "--tol", "5"]) == 0
+    capsys.readouterr()
+    info = _moment_table.cache_info()
+    assert info.hits + info.misses == 114
