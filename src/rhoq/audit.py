@@ -351,10 +351,9 @@ def audit_weighted_measure(cfg: AuditConfig) -> AuditReport:
     norms = {fx.describe(): lipschitz_norm_grid(fx, params, GRID_LEVEL) for fx in battery}
     balls = _sample_balls(cfg, rng, 6)
     for fx in battery:
+        weighted = WeightedDistribution(fx, params)
         for ball in balls:
-            v = weighted_measure_sequence(
-                fx, params, ball, inner, digits=cfg.precision
-            ).limit_estimate()
+            v = weighted.value(ball)
             twist = rhoq_power(
                 PadicNumber(p, 0, params.ratio_residue(cfg.precision), cfg.precision), ball.rep
             )

@@ -26,7 +26,9 @@ last two reach the same ball value through different arithmetic, which is
 what makes their cross-check worth running.  The builder takes a sequence
 of shifts: a single ball is the one-shift case (`_level_terms`), and a whole
 level of weighted ball values, as the Riemann sums of the integral identity
-read them, is one batch (`WeightedDistribution.level_values`).
+read them, is one batch (`WeightedDistribution.level_values`).  Ball values
+are made once per process: every distribution with equal (f, params) shares
+one memo (`_ball_memo`), which keeps one parameter pair and a bounded count.
 """
 
 from __future__ import annotations
@@ -300,6 +302,10 @@ BLOCK = 1024
 #: tables are keyed by the parameter pair, so a long-lived process that sees
 #: many pairs must not keep them all.
 MEMO_SIZE = 4096
+
+#: weighted ball values held at once by `_ball_memo`, over all weights: four
+#: times the 11,908 a default `rhoq audit all` holds.
+BALL_MEMO_SIZE = 48_000
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -615,34 +621,54 @@ def weighted_measure_direct(
 WEIGHTED_LEVELS = range(1, 6)
 
 
+@lru_cache(maxsize=1)
+def _ball_memo(params: RhoQParams) -> dict[IntegrableFunction, dict[Ball, PadicNumber]]:
+    """The weighted ball values at params: one Ball-keyed dict per weight."""
+    return {}
+
+
 class WeightedDistribution(Distribution):
-    """The f-weighted family as a Distribution: memoized ball values, each the
-    limit estimate of `weighted_measure_sequence` over WEIGHTED_LEVELS."""
+    """The f-weighted family as a Distribution: ball values, the limit
+    estimates of `weighted_measure_sequence` over WEIGHTED_LEVELS, memoized in
+    `_ball_memo(params)[f]`, which every instance with equal (f, params) shares
+    (f and params hashed once per instance).  A new pair or `cache_clear()` drops
+    the memo (an older instance keeps its dict); BALL_MEMO_SIZE bounds it."""
 
     family = "weighted"
 
     def __init__(self, f: IntegrableFunction, params: RhoQParams):
         super().__init__(params)
         self.f = f
+        self._weights = _ball_memo(params)
+        self._memo = self._weights.setdefault(f, {})
+
+    def _make_room(self, n: int) -> None:
+        """Empty every weight's dict if n more values would pass BALL_MEMO_SIZE."""
+        if sum(map(len, self._weights.values())) + n > BALL_MEMO_SIZE:
+            for memo in self._weights.values():
+                memo.clear()
 
     def _value(self, ball: Ball) -> PadicNumber:
+        self._make_room(1)  # `value` stores the result
         return weighted_measure_sequence(
             self.f, self.params, ball, WEIGHTED_LEVELS, digits=self.digits
         ).limit_estimate()
 
     def level_values(self, level: int) -> list[PadicNumber]:
-        """value(a + p^level Z_p) for a = 0..p^level - 1.  The balls not yet
-        in the memo are made in one batch (`_level_batch`) and memoized, each
-        as its terms come out; the values are those of `_value`."""
+        """value(a + p^level Z_p) for a = 0..p^level - 1, those of `_value`:
+        the balls not in the memo are made in one batch (`_level_batch`) and
+        memoized, unless they alone pass BALL_MEMO_SIZE."""
         p, d = self.params.prime, self.digits
         balls = [Ball(p, a, level) for a in range(p**level)]
-        missing = [ball for ball in balls if ball not in self._memo]
-        batch = _level_batch(
-            self.f, self.params, WEIGHTED_LEVELS, d, [b.rep for b in missing], level, lifted=True
-        )
-        for ball, terms in zip(missing, batch):
-            self._memo[ball] = ApproximantSequence.build(p, terms, max(2, d - 2)).limit_estimate()
-        return [self._memo[ball] for ball in balls]
+        out = [self._memo.get(ball) for ball in balls]
+        missing = [a for a, v in enumerate(out) if v is None]
+        batch = _level_batch(self.f, self.params, WEIGHTED_LEVELS, d, missing, level, lifted=True)
+        for a, terms in zip(missing, batch):
+            out[a] = ApproximantSequence.build(p, terms, max(2, d - 2)).limit_estimate()
+        self._make_room(len(missing))
+        if len(missing) <= BALL_MEMO_SIZE:
+            self._memo.update((balls[a], out[a]) for a in missing)
+        return out
 
     def describe(self) -> dict:
         d = super().describe()

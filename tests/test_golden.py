@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import rhoq
+from rhoq import cli
 from rhoq.calculus import RhoQParams
 from rhoq.integration import (
     bracket_power,
@@ -48,6 +49,18 @@ def _audit(argv: list[str]) -> bytes:
 
 def test_audit_report_is_byte_identical_to_golden():
     assert _audit(ARGV) == GOLDEN.read_bytes()
+
+
+def test_audit_report_on_a_warm_ball_memo_is_byte_identical_to_golden(capsys):
+    """The same report in one process after others: after a seed-7 report at
+    its parameters, whose ball values it then reads off the memo, and after a
+    p = 5 report, which has put another parameter pair in the memo."""
+    seed_7 = ARGV[:-1] + ["7"]
+    for earlier in (seed_7, ["audit", "thm33", "--p", "5", "--levels", "1:3"]):
+        cli.main(earlier)
+        capsys.readouterr()
+        assert cli.main(ARGV) == 0
+        assert capsys.readouterr().out.encode() == GOLDEN.read_bytes()
 
 
 def test_default_audit_report_is_byte_identical_to_golden():

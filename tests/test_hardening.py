@@ -4,10 +4,12 @@ classifier negatives, context isolation, and cross-prime smoke runs."""
 import threading
 from fractions import Fraction
 
+from rhoq import integration
 from rhoq.audit import AuditConfig, audit_decomposition, audit_lipschitz, run_audits
 from rhoq.calculus import RhoQParams
 from rhoq.integration import (
     WeightedDistribution,
+    _ball_memo,
     bracket_power,
     coordinate,
     weighted_measure_direct,
@@ -134,6 +136,65 @@ class TestCrossPrime:
         ball = Ball(5, 3, 2)
         first = d.value(ball)
         assert d.value(ball) is first  # memo hit returns the same object
+
+
+class TestBallMemo:
+    """The weighted ball values are memoized once per process: one dict per
+    (f, params), one parameter pair at a time, at most BALL_MEMO_SIZE values."""
+
+    ball = Ball(5, 3, 2)
+
+    def test_equal_weight_and_params_share_values(self):
+        first = WeightedDistribution(bracket_power(1), params()).value(self.ball)
+        assert WeightedDistribution(bracket_power(1), params()).value(self.ball) is first
+
+    def test_other_weight_or_params_do_not_share(self):
+        WeightedDistribution(bracket_power(1), params()).value(self.ball)
+        for f, pr in (
+            (coordinate(), params()),
+            (bracket_power(1), params(q_k=3)),
+            (bracket_power(1), params(rho_k=3)),
+            (bracket_power(1), params(prec=10)),
+        ):
+            other = WeightedDistribution(f, pr)
+            assert self.ball not in other._memo
+            assert other.value(self.ball) == other._value(self.ball)
+
+    def test_new_parameter_pair_drops_old_values(self):
+        WeightedDistribution(bracket_power(1), params()).value(self.ball)
+        WeightedDistribution(bracket_power(1), params(q_k=3))
+        info = _ball_memo.cache_info()
+        assert (info.maxsize, info.currsize) == (1, 1)
+        assert not WeightedDistribution(bracket_power(1), params())._memo
+
+    def test_memo_is_bounded_and_emptied_when_full(self, monkeypatch):
+        monkeypatch.setattr(integration, "BALL_MEMO_SIZE", 10)
+        pr = params(p=3, prec=10)
+        _ball_memo.cache_clear()
+        d = WeightedDistribution(bracket_power(2), pr)
+
+        def held():
+            return sum(map(len, _ball_memo(pr).values()))
+
+        assert len(d.level_values(2)) == 9 and held() == 9
+        d.value(Ball(3, 0, 1))
+        assert held() == 10
+        d.value(Ball(3, 1, 1))  # the memo is full: emptied, then this one kept
+        assert held() == 1
+        batch = d.level_values(3)  # 27 values, more than the memo holds
+        assert held() <= 10
+        assert batch == [d._value(Ball(3, a, 3)) for a in range(27)]
+
+    def test_cache_clear_empties_the_memo(self):
+        module_caches = [
+            v for v in vars(integration).values()
+            if callable(v) and hasattr(v, "cache_clear") and hasattr(v, "cache_info")
+        ]
+        assert _ball_memo in module_caches
+        WeightedDistribution(bracket_power(1), params()).value(self.ball)
+        _ball_memo.cache_clear()
+        assert _ball_memo.cache_info().currsize == 0
+        assert not WeightedDistribution(bracket_power(1), params())._memo
 
 
 class TestDeepPrecision:

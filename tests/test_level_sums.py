@@ -6,7 +6,7 @@ moment tables; the tables' shift polynomials at shifts past the step and
 past the levels; the folded per-level factors against the chain of products
 and divisions they replace; a whole level of weighted ball values in one
 batch against the single-ball route; and the moment-table lookups of one
-thm33 report."""
+thm33 report, on a cold and on a warm ball memo."""
 
 from fractions import Fraction
 
@@ -18,6 +18,7 @@ from rhoq.calculus import RhoQParams, rhoq_integer
 from rhoq.integration import (
     WEIGHTED_LEVELS,
     WeightedDistribution,
+    _ball_memo,
     _level_terms,
     _moment_table,
     bracket_power,
@@ -257,9 +258,22 @@ def test_moment_table_lookups_of_one_thm33_report(capsys):
     and one per single ball: those that k = 1's invariance and density
     checks read before the fills, and the level-6 balls of every density
     extraction.  A lookup per Riemann-sum ball, as before the level
-    batches, makes 1,123."""
+    batches, makes 1,123.  Both tables are cleared first: ball values that
+    an earlier report left in the ball memo make fewer lookups."""
+    argv = ["audit", "thm33", "--p", "3", "--levels", "1:5", "--tol", "5"]
+
+    def lookups():
+        info = _moment_table.cache_info()
+        return info.hits + info.misses
+
     _moment_table.cache_clear()
-    assert cli.main(["audit", "thm33", "--p", "3", "--levels", "1:5", "--tol", "5"]) == 0
+    _ball_memo.cache_clear()
+    assert cli.main(argv) == 0
+    assert lookups() == 114
+    # a second report at the same parameters, at another seed, reads every
+    # ball value off the memo the first left; what remains is its 12
+    # integrals of gP and the 4 Bernoulli-type integrals of the side reports
+    before = lookups()
+    assert cli.main(argv + ["--seed", "7"]) == 0
     capsys.readouterr()
-    info = _moment_table.cache_info()
-    assert info.hits + info.misses == 114
+    assert lookups() - before == 16
