@@ -47,7 +47,7 @@ from .calculus import (
     vp_factorial,
 )
 from .measures import Ball, Distribution
-from .padic import DomainError, PadicNumber, PrecisionError, _new, div, vp
+from .padic import DomainError, PadicNumber, PrecisionError, _new, div, dot, vp
 from .sequences import ApproximantSequence
 
 # ---------------------------------------------------------------------------
@@ -791,10 +791,7 @@ def integral_against_weighted(
     for m in outer_levels:
         gs = values(g, params, range(p**m), d + m + 2)
         for weighted, out in zip(weights, terms):
-            acc = PadicNumber.exact_zero(p)
-            for gi, vi in zip(gs, weighted.level_values(m)):
-                acc = acc + gi * vi
-            out.append((m, acc))
+            out.append((m, dot(gs, weighted.level_values(m))))
     return [_comparison(g, w, t, outer_levels) for w, t in zip(weights, terms)]
 
 

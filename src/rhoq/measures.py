@@ -16,7 +16,7 @@ from math import inf
 from typing import Callable, Sequence
 
 from .calculus import RhoQParams, rhoq_integer
-from .padic import PadicNumber, vp
+from .padic import PadicNumber, dot, padic_from_integer, vp
 from .sequences import ApproximantSequence, gap_norm
 
 
@@ -48,12 +48,23 @@ class Ball:
 # ---------------------------------------------------------------------------
 
 
+def _per_level(make: Callable) -> Callable:
+    """make(self, level), kept in the instance's `_levels` table: made once per level."""
+    def once(self, level: int):
+        hit = self._levels.get((make, level))
+        if hit is None:
+            hit = self._levels[make, level] = make(self, level)
+        return hit
+    return once
+
+
 class Distribution:
     """Lazy ball function with memoization (audit sweeps re-query balls heavily).
 
     Values are pure given the parameters and known to `digits`, the
-    precision of the parameters; the memo table follows a read-mostly
-    discipline (atomic dict writes, idempotent entries).
+    precision of the parameters.  `_memo` (ball values) and `_levels` (what
+    the balls of one level share: the `_per_level` methods) follow a
+    read-mostly discipline (atomic dict writes, idempotent entries).
     """
 
     family = "abstract"
@@ -61,6 +72,7 @@ class Distribution:
     def __init__(self, params: RhoQParams):
         self.params = params
         self._memo: dict[Ball, PadicNumber] = {}
+        self._levels: dict[tuple[Callable, int], object] = {}
 
     @property
     def digits(self) -> int:
@@ -76,10 +88,13 @@ class Distribution:
     def _value(self, ball: Ball) -> PadicNumber:
         raise NotImplementedError
 
+    @_per_level
+    def _scale(self, level: int) -> PadicNumber:
+        return rhoq_integer(self.params.prime**level, self.params, self.digits + level)
+
     def rescaled(self, ball: Ball) -> PadicNumber:
-        """[p^N] * value(ball): the quantity whose limit is the density."""
-        scale = rhoq_integer(ball.prime**ball.level, self.params, self.digits + ball.level)
-        return scale * self.value(ball)
+        """[p^N] * value(ball), [p^N] at digits + N: the quantity whose limit is the density."""
+        return self._scale(ball.level) * self.value(ball)
 
     def describe(self) -> dict:
         return {"family": self.family, "digits": self.digits, "params": self.params.describe()}
@@ -90,21 +105,24 @@ def rhoq_haar_measure(ball: Ball, params: RhoQParams, digits: int | None = None)
 
     The valuation is -N plus a unit: values legitimately escape Z_p.
     """
-    p = params.prime
-    target = digits if digits is not None else params.precision
-    N = ball.level
-    w = target + N
-    mod = p**w
-    num = pow(params.rho_residue(w), p**N, mod) * pow(params.ratio_residue(w), ball.rep, mod) % mod
-    numerator = PadicNumber(p, 0, num, w)
-    return numerator / rhoq_integer(p**N, params, w)
+    w = (digits if digits is not None else params.precision) + ball.level
+    return _haar_numerator(ball, params, w) / rhoq_integer(params.prime**ball.level, params, w)
+
+
+def _haar_numerator(ball: Ball, params: RhoQParams, w: int) -> PadicNumber:
+    """rho^(p^N) (q/rho)^rep mod p^w: [p^N] times the Haar value of the ball."""
+    p, N, mod = params.prime, ball.level, params.prime**w
+    num = pow(params.rho_residue(w), p**N, mod) * pow(params.ratio_residue(w), ball.rep, mod)
+    return PadicNumber(p, 0, num % mod, w)
 
 
 class RhoQHaar(Distribution):
     family = "rhoq_haar"
 
     def _value(self, ball: Ball) -> PadicNumber:
-        return rhoq_haar_measure(ball, self.params, self.digits)
+        """`rhoq_haar_measure` at `digits`, over the [p^N] of `rescaled`."""
+        w = self.digits + ball.level
+        return _haar_numerator(ball, self.params, w) / self._scale(ball.level)
 
 
 class LinearCombination(Distribution):
@@ -123,15 +141,14 @@ class LinearCombination(Distribution):
         """The fewest digits of the parts."""
         return min(d.digits for _, d in self.parts)
 
+    @_per_level
+    def _coefficients(self, level: int) -> list[PadicNumber]:
+        """The coefficients, integers taken at digits + 2 level + 2."""
+        p, w = self.params.prime, self.digits + 2 * level + 2
+        return [padic_from_integer(c, p, w) if isinstance(c, int) else c for c, _ in self.parts]
+
     def _value(self, ball: Ball) -> PadicNumber:
-        p = self.params.prime
-        acc = PadicNumber.exact_zero(p)
-        for coeff, dist in self.parts:
-            v = dist.value(ball)
-            if isinstance(coeff, int):
-                coeff = PadicNumber.from_integer(coeff, p, self.digits + 2 * ball.level + 2)
-            acc = acc + coeff * v
-        return acc
+        return dot(self._coefficients(ball.level), [dist.value(ball) for _, dist in self.parts])
 
 
 def difference(d1: Distribution, d2: Distribution) -> LinearCombination:
@@ -154,10 +171,14 @@ class DensityScaled(Distribution):
         super().__init__(params)
         self.density = density
 
+    @_per_level
+    def _haar(self, level: int) -> PadicNumber:
+        """The Haar value of p^level Z_p at digits + level."""
+        params = self.params
+        return rhoq_haar_measure(Ball(params.prime, 0, level), params, self.digits + level)
+
     def _value(self, ball: Ball) -> PadicNumber:
-        N = ball.level
-        haar = rhoq_haar_measure(Ball(ball.prime, 0, N), self.params, self.digits + N)
-        return self.density(ball.rep) * haar
+        return self._haar(ball.level) * self.density(ball.rep)
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +372,15 @@ def lipschitz_estimate(
     """max |f(x) - f(y)| / |x - y| over sampled pairs x != y below p^level.
 
     Exhaustive up to MAX_PAIRS pairs, else a seeded sample of MAX_PAIRS;
-    this is the difference-quotient sup taken over the grid.
+    this is the difference-quotient sup taken over the grid.  A quotient is
+    p^(ν(x - y) - ν(f(x) - f(y))), 0 for a zero-residue difference, so the
+    sup is taken over integer exponents and made a Fraction once.
     """
     n = p**level
     if n < 2:
         raise ValueError("need at least 2 sample points")
     values = {x: f(x) for x in range(n)}
-    pairs: list[tuple[int, int]]
-    total = n * (n - 1) // 2
-    if total <= MAX_PAIRS:
+    if n * (n - 1) // 2 <= MAX_PAIRS:
         pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
     else:
         rng = random.Random(seed)
@@ -369,11 +390,6 @@ def lipschitz_estimate(
             y = rng.randrange(n)
             if x != y:
                 pairs.append((min(x, y), max(x, y)))
-    best = Fraction(0)
-    for x, y in pairs:
-        num = gap_norm(values[x] - values[y])
-        if num == 0:
-            continue
-        den = Fraction(1, p ** vp(x - y, p))
-        best = max(best, num / den)
-    return best
+    diffs = ((y - x, values[x] - values[y]) for x, y in pairs)
+    e = max((vp(gap, p) - d.val for gap, d in diffs if d.unit), default=None)
+    return Fraction(0) if e is None else Fraction(p) ** e

@@ -17,6 +17,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import inf
+from typing import Sequence
 
 
 class PadicError(Exception):
@@ -463,6 +464,42 @@ def div(x: PadicNumber, y: PadicNumber) -> PadicNumber:
     r = min(x.digits, y.digits)
     mod = p**r
     return _new(p, x.val - y.val, x.unit * pow(y.unit, -1, mod) % mod, r)
+
+
+def dot(xs: Sequence[PadicNumber], ys: Sequence[PadicNumber]) -> PadicNumber:
+    """Σ x_i * y_i, field for field the fold ``acc = acc + x * y`` from the exact zero,
+    as one integer sum reduced once mod p^A, A the least absolute precision of the
+    products.  The fold knows its partial sum S_i mod p^A_i (A_i: the same over the
+    first i products); like it, this raises PrecisionError at a zero-residue product
+    of valuation <= 0 and at S_i ≡ 0 mod p^A_i with A_i <= 0.  xs must be nonempty.
+    """
+    p = xs[0].prime
+    s, v0, a = 0, None, inf  # the partial sum is p^v0 * s, known mod p^a
+    for x, y in zip(xs, ys, strict=True):
+        if x.prime != p or y.prime != p:
+            raise DomainError("prime mismatch in a dot product over Q_%d" % p)
+        if x.val is None or y.val is None:
+            continue  # an exact zero adds nothing
+        v = x.val + y.val
+        if not (x.unit and y.unit):
+            if v <= 0:
+                raise PrecisionError("zero-residue product O(%d^%d) carries no digits" % (p, v))
+            a = v if v < a else a
+            continue
+        b = v + (x.digits if x.digits < y.digits else y.digits)  # the product's precision
+        a = b if b < a else a
+        if v0 is None or v < v0:
+            s, v0 = s * p ** (v0 - v) if s else 0, v
+        s += x.unit * y.unit * p ** (v - v0)
+        if a <= 0 and s % p ** (a - v0) == 0:  # a <= 0 at a nonzero product: v0 < a
+            raise PrecisionError("partial sum is zero at working precision O(%d^%d)" % (p, a))
+    if a == inf:
+        return PadicNumber.exact_zero(p)
+    s = s % p ** (a - v0) if v0 is not None and a > v0 else 0
+    if s == 0:
+        return PadicNumber.bounded_zero(p, a)
+    w = vp(s, p)
+    return _new(p, v0 + w, s // p**w, a - v0 - w)
 
 
 def padic_log(x: PadicNumber) -> PadicNumber:

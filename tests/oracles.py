@@ -3,13 +3,16 @@
 Everything here is computed with exact rational arithmetic (Fraction) or
 elementary integer algorithms, straight from the defining formulas, and only
 reduced mod p^k at the very end.  Nothing imports the package's arithmetic,
-so agreement between the two paths is meaningful.  The one exception,
-`mahler_forward_substitution`, is the package's earlier Mahler solve; it is
-handed the package's values and binomials and only adds and multiplies them.
+so agreement between the two paths is meaningful.  The two exceptions are
+earlier versions of package code, handed the package's values:
+`mahler_forward_substitution`, the earlier Mahler solve, only adds and
+multiplies them, and `lipschitz_fraction_loop`, the earlier Lipschitz sup,
+only subtracts them and takes norms.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 
@@ -165,6 +168,33 @@ def mahler_forward_substitution(values: list, binomial) -> list:
                 acc = acc - c * binomial(i, n)
         coeffs.append(acc)
     return coeffs
+
+
+def lipschitz_fraction_loop(f, p: int, level: int, max_pairs: int, seed: int = 1) -> Fraction:
+    """max |f(x) - f(y)| / |x - y| as one Fraction division per pair, over the
+    pairs the package's `lipschitz_estimate` takes: every pair below p^level
+    up to max_pairs of them, else max_pairs seeded draws.  A difference that
+    is a zero residue counts as 0."""
+    n = p**level
+    values = {x: f(x) for x in range(n)}
+    if n * (n - 1) // 2 <= max_pairs:
+        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    else:
+        rng = random.Random(seed)
+        pairs = []
+        while len(pairs) < max_pairs:
+            x = rng.randrange(n)
+            y = rng.randrange(n)
+            if x != y:
+                pairs.append((min(x, y), max(x, y)))
+    best = Fraction(0)
+    for x, y in pairs:
+        d = values[x] - values[y]
+        if d.unit == 0:
+            continue
+        den = Fraction(1, p ** rat_vp(Fraction(x - y), p))
+        best = max(best, d.norm() / den)
+    return best
 
 
 def rhoq_binomial_exact(n: int, k: int, rho: Fraction, q: Fraction) -> Fraction:

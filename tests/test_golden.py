@@ -12,6 +12,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import rhoq
 from rhoq import cli
 from rhoq.calculus import RhoQParams
@@ -65,6 +67,14 @@ def test_audit_report_on_a_warm_ball_memo_is_byte_identical_to_golden(capsys):
 
 def test_default_audit_report_is_byte_identical_to_golden():
     assert _audit(["audit", "all"]) == DEFAULT.read_bytes()
+
+
+# thm31 at p = 7 samples its Lipschitz pairs (58,653 pairs at level 3);
+# thm34 at p = 7 reads DensityScaled and difference ball values
+@pytest.mark.parametrize("theorem", ["thm31", "thm34"])
+def test_p7_audit_report_is_byte_identical_to_golden(theorem):
+    golden = Path(__file__).parent / "golden" / ("audit_%s_p7_prec12_levels1-4_seed1.json" % theorem)
+    assert _audit(["audit", theorem, "--p", "7", "--levels", "1:4"]) == golden.read_bytes()
 
 
 REGIMES = {

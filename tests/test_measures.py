@@ -2,8 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from rhoq.calculus import RhoQParams, rhoq_power
+from rhoq import measures
+from rhoq.calculus import RhoQParams, rhoq_integer, rhoq_power
+from rhoq.integration import (
+    WEIGHTED_LEVELS,
+    WeightedDistribution,
+    bracket_power,
+    weighted_measure_sequence,
+)
 from rhoq.measures import (
+    MAX_PAIRS,
     Ball,
     DensityScaled,
     Distribution,
@@ -15,9 +23,9 @@ from rhoq.measures import (
     radon_nikodym_derivative,
     rhoq_haar_measure,
 )
-from rhoq.padic import PadicNumber, padic_from_integer
+from rhoq.padic import PadicNumber, padic_from_fraction, padic_from_integer
 
-from .oracles import haar_value, rat_mod
+from .oracles import haar_value, lipschitz_fraction_loop, rat_mod
 
 
 def params(p=5, rho_k=1, q_k=2, prec=12):
@@ -199,7 +207,9 @@ class TestWeightedAdditivity:
 
 class TestConcurrency:
     def test_concurrent_ball_evaluation_is_consistent(self):
-        # values are pure and memo writes idempotent: hammer one distribution
+        # values are pure and memo and per-level writes idempotent: hammer one
+        # distribution with threads that switch often
+        import sys
         from concurrent.futures import ThreadPoolExecutor
 
         pr = params(prec=10)
@@ -207,16 +217,111 @@ class TestConcurrency:
         balls = [Ball(5, a, n) for n in (1, 2, 3) for a in range(0, 5**n, 7)]
 
         def grab(ball):
-            return d.value(ball)
+            return d.value(ball), d.rescaled(ball)
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(grab, balls * 4))
-        serial = {b: rhoq_haar_measure(b, pr, 10) for b in balls}
-        for ball, got in zip(balls * 4, results):
-            assert got.agrees(serial[ball])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(grab, balls * 4, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for ball, (value, rescaled) in zip(balls * 4, results):
+            serial = rhoq_haar_measure(ball, pr, 10)
+            assert value == serial
+            assert rescaled == rhoq_integer(5**ball.level, pr, 10 + ball.level) * serial
+
+
+def _density(p: int):
+    return lambda x: padic_from_integer(x * x + 1, p, 10)
+
+
+def _per_level_distributions(pr: RhoQParams) -> dict[str, Distribution]:
+    """One fresh distribution of each family with a per-level table."""
+    return {
+        "haar": RhoQHaar(pr),
+        "weighted": WeightedDistribution(bracket_power(2), pr),
+        "density": DensityScaled(_density(pr.prime), pr),
+        "difference": difference(
+            WeightedDistribution(bracket_power(2), pr), DensityScaled(_density(pr.prime), pr)
+        ),
+    }
+
+
+def _direct_value(name: str, pr: RhoQParams, ball: Ball) -> PadicNumber:
+    """The ball value straight from its defining formula, without per-level tables."""
+    p, d, N = pr.prime, pr.precision, ball.level
+    if name == "haar":
+        return rhoq_haar_measure(ball, pr, d)
+    if name == "weighted":
+        return weighted_measure_sequence(bracket_power(2), pr, ball, WEIGHTED_LEVELS, digits=d).limit_estimate()
+    if name == "density":
+        return _density(p)(ball.rep) * rhoq_haar_measure(Ball(p, 0, N), pr, d + N)
+    acc = PadicNumber.exact_zero(p)
+    for c, part in ((1, "weighted"), (-1, "density")):
+        acc = acc + padic_from_integer(c, p, d + 2 * N + 2) * _direct_value(part, pr, ball)
+    return acc
+
+
+class TestPerLevelTables:
+    LEVELS = range(1, 5)
+
+    def test_values_and_rescaled_values_match_the_direct_formulas(self):
+        pr = params(p=3, prec=10)
+        for name, dist in _per_level_distributions(pr).items():
+            for N in self.LEVELS:
+                scale = rhoq_integer(3**N, pr, 10 + N)
+                for a in range(3**N):
+                    ball = Ball(3, a, N)
+                    direct = _direct_value(name, pr, ball)
+                    assert dist.value(ball) == direct, (name, ball)
+                    assert dist.rescaled(ball) == scale * direct, (name, ball)
+
+    def test_one_bracket_per_level_quantity(self, monkeypatch):
+        # rescaled's [p^N] is made once per (distribution, level); so is the
+        # Haar value of p^N Z_p of a DensityScaled, the difference's part
+        calls = []
+        real = measures.rhoq_integer
+        monkeypatch.setattr(measures, "rhoq_integer", lambda *a, **k: calls.append(a) or real(*a, **k))
+        pr = params(p=3, prec=10)
+        per_level = {"haar": 1, "weighted": 1, "density": 2, "difference": 2}
+        for name, dist in _per_level_distributions(pr).items():
+            for N in self.LEVELS:
+                calls.clear()
+                for a in range(3**N):
+                    dist.rescaled(Ball(3, a, N))
+                    dist.value(Ball(3, a, N))
+                assert len(calls) == per_level[name], (name, N)
+
+
+def _zero_residue_grid(p: int, x: int) -> PadicNumber:
+    # x and x + p^2 agree to the three known digits
+    return padic_from_integer(x % p**2 + 1, p, 3)
+
+
+def _mixed_precision_grid(p: int, x: int) -> PadicNumber:
+    return padic_from_integer(x * x + x + 1, p, 2 + x % 5)
+
+
+def _negative_valuation_grid(p: int, x: int) -> PadicNumber:
+    # x = 0 gives the exact zero
+    return padic_from_fraction(Fraction(x * (x + 2), p ** (x % 4)), p, 3 + x % 3)
 
 
 class TestLipschitz:
+    @pytest.mark.parametrize("grid", [_zero_residue_grid, _mixed_precision_grid, _negative_valuation_grid])
+    @pytest.mark.parametrize(
+        "p, level, seed, sampled",
+        [(3, 3, 1, False), (5, 2, 1, False), (3, 4, 1, False), (7, 3, 1, True), (7, 3, 4, True)],
+    )
+    def test_matches_the_fraction_loop(self, grid, p, level, seed, sampled):
+        n = p**level
+        assert (n * (n - 1) // 2 > MAX_PAIRS) == sampled
+        f = lambda x: grid(p, x)
+        expected = lipschitz_fraction_loop(f, p, level, MAX_PAIRS, seed)
+        assert lipschitz_estimate(f, p, level, seed=seed) == expected
+        assert expected > 0
+
     def test_identity_function(self):
         f = lambda x: padic_from_integer(x, 5, 10)
         assert lipschitz_estimate(f, 5, 3) == 1

@@ -4,9 +4,9 @@ import dataclasses
 from operator import add, mul, sub
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rhoq.padic import PadicNumber, PrecisionError, div, padic_from_integer
+from rhoq.padic import DomainError, PadicNumber, PrecisionError, div, dot, padic_from_integer
 from rhoq.sequences import ApproximantSequence
 
 PRIMES = (3, 5, 7)
@@ -189,3 +189,67 @@ def test_extrapolants_follow_the_three_value_aitken_formula(p, coeffs):
 
     expected = [aitken(*values[-4:-1]), aitken(*values[-3:])]
     assert [_fields(e) for e in seq.extrapolants] == [_fields(e) for e in expected]
+
+
+@st.composite
+def dot_operands(draw):
+    """Two equally long lists over one prime whose entries may be exact zeros,
+    bounded zeros, or nonzero values of negative valuation and of absolute
+    precision <= 0, the inputs on which the fold can raise."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(min_value=1, max_value=6))
+
+    def one():
+        kind = draw(st.sampled_from(["exact zero", "bounded zero", "nonzero", "nonzero"]))
+        if kind == "exact zero":
+            return PadicNumber.exact_zero(p)
+        if kind == "bounded zero":
+            return PadicNumber.bounded_zero(p, draw(st.integers(min_value=1, max_value=4)))
+        digits = draw(st.integers(min_value=1, max_value=4))
+        unit = draw(st.integers(min_value=1, max_value=p**digits - 1).filter(lambda u: u % p))
+        return PadicNumber(p, draw(st.integers(min_value=-5, max_value=3)), unit, digits)
+
+    return [one() for _ in range(n)], [one() for _ in range(n)]
+
+
+def _fold(xs, ys):
+    acc = PadicNumber.exact_zero(xs[0].prime)
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+def _outcome(fn, xs, ys):
+    try:
+        return _fields(fn(xs, ys))
+    except PrecisionError:
+        return PrecisionError
+
+
+_ONE = PadicNumber.one(3, 4)
+_LOW = PadicNumber(3, -3, 1, 2)  # 3^-3, known mod 3^-1
+_LOW_NEG = PadicNumber(3, -3, 8, 2)  # -3^-3, known mod 3^-1
+
+
+@settings(max_examples=400)
+@given(dot_operands())
+# a zero residue times a value of valuation -3: the product carries no digits
+@example(([PadicNumber.bounded_zero(3, 2)], [_LOW]))
+# 3^-3 - 3^-3 is zero mod 3^-1
+@example(([_LOW, _LOW_NEG], [_ONE, _ONE]))
+# the partial sum 3^-3 - 3^-3 is zero mod 3^-1, though the whole sum is not
+@example(([_LOW, _LOW_NEG, _LOW], [_ONE, _ONE, _ONE]))
+# a bounded zero after the sum above: the fold still raises at the second term
+@example(([_LOW, _LOW_NEG, PadicNumber.bounded_zero(3, 1)], [_ONE, _ONE, _ONE]))
+# 3^-3 + 3^-2 is not zero mod 3^-1: no raise below absolute precision 0
+@example(([_LOW, PadicNumber(3, -2, 1, 2)], [_ONE, _ONE]))
+def test_dot_is_the_fold_field_for_field(operands):
+    xs, ys = operands
+    assert _outcome(dot, xs, ys) == _outcome(_fold, xs, ys)
+
+
+def test_dot_refuses_mixed_primes_like_the_fold():
+    xs, ys = [PadicNumber.one(3, 4), PadicNumber.one(5, 4)], [PadicNumber.one(3, 4)] * 2
+    for fn in (dot, _fold):
+        with pytest.raises(DomainError):
+            fn(xs, ys)
