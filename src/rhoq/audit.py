@@ -27,6 +27,7 @@ from .integration import (
     WeightedDistribution,
     bernoulli_comparison_report,
     bracket_power,
+    carlitz_bernoulli,
     const,
     coordinate,
     integral_against_weighted,
@@ -419,8 +420,8 @@ def audit_closed_form(cfg: AuditConfig) -> AuditReport:
         ratio_exponential(),
     ]
     outer = range(1, min(OUTER_CAP, cfg.n_max) + 1)
-    # (iii)'s comparisons per g, one per weight: the weights share each g grid.
-    # Made at k = 1's (iii), so that a failing check fails where it did.
+    # (iii)'s comparisons per g, one per weight, made in one call at k = 1's
+    # (iii), so that a failing check fails where it did.
     comparisons: list[list] = []
 
     for k, dist in zip((1, 2, 3), dists):
@@ -509,7 +510,7 @@ def audit_closed_form(cfg: AuditConfig) -> AuditReport:
         g_ratios = []
         cert_iii: int | float = cert_ii
         if not comparisons:
-            comparisons = [integral_against_weighted(g, dists, outer) for g in g_battery]
+            comparisons = integral_against_weighted(g_battery, dists, outer)
         for i, per_weight in enumerate(comparisons):
             comp = per_weight[k - 1]
             if comp.fitted_ratio is not None:
@@ -671,8 +672,6 @@ def run_audits(cfg: AuditConfig) -> dict:
         params = cfg.params()
         levels = range(1, cfg.n_max + 1)
         extras["bernoulli_closed_form_comparison"] = bernoulli_comparison_report(0, params, levels)
-        from .integration import carlitz_bernoulli
-
         extras["bernoulli_table"] = {
             "beta(n=%d, a=0)" % n: carlitz_bernoulli(
                 n, 0, params, levels, digits=cfg.precision

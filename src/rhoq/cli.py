@@ -10,7 +10,6 @@ All output is deterministic for a fixed configuration.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import lru_cache
 from typing import NoReturn
@@ -168,7 +167,7 @@ def _levels(arg: str) -> tuple[int, int]:
 
 def _emit(payload: dict, out: str) -> None:
     if out == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True))
+        print(report_to_json(payload))
     elif out == "table":
         _print_table(payload)
     else:
@@ -319,10 +318,7 @@ def _run_audit(args: argparse.Namespace, n_min: int, n_max: int) -> int:
         theorems=AUDIT_IDS if selector == "all" else (selector,),
     )
     report = run_audits(cfg)
-    if args.out == "json":
-        print(report_to_json(report))
-    else:
-        _emit(report, args.out)
+    _emit(report, args.out)
     return exit_code(report)
 
 

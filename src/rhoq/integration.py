@@ -24,11 +24,12 @@ builder (`_level_batch`) forms it for all three: the plain integral
 restriction identity (M = m at parameters lifted by n, times 1/[p^n]).  The
 last two reach the same ball value through different arithmetic, which is
 what makes their cross-check worth running.  The builder takes a sequence
-of shifts: a single ball is the one-shift case (`_level_terms`), and a whole
-level of weighted ball values, as the Riemann sums of the integral identity
-read them, is one batch (`WeightedDistribution.level_values`).  Ball values
-are made once per process: every distribution with equal (f, params) shares
-one memo (`_ball_memo`), which keeps one parameter pair and a bounded count.
+of shifts, one for an integral or a single ball.  A weighted ball value has
+one maker, `WeightedDistribution._batch` (a ball or a level), and one store,
+`_ball_memo`, shared by every distribution with equal (f, params), one
+parameter pair and a bounded count at a time.  The Riemann sums of the
+integral identity read each level once per report, so the memo only shares
+values across reports.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .calculus import (
 )
 from .measures import Ball, Distribution
 from .padic import DomainError, PadicNumber, PrecisionError, _new, div, dot, vp
-from .sequences import ApproximantSequence
+from .sequences import ApproximantSequence, default_target
 
 # ---------------------------------------------------------------------------
 # integrable functions
@@ -469,7 +470,7 @@ def values(
 def _level_factors(
     params: RhoQParams, levels: tuple[int, ...], n: int, known: int, lifted: bool
 ) -> tuple[PadicNumber, ...]:
-    """What `_level_terms` multiplies the level-m sum of every ball of level n
+    """What `_level_batch` multiplies the level-m sum of every ball of level n
     by, per m in levels, at `known` digits: rho'^(p^M)/[p^M]', times 1/[p^n]
     when lifted.  A divisor that is a bounded zero raises PrecisionError."""
     p, mod = params.prime, params.prime**known
@@ -495,8 +496,18 @@ def _level_batch(
     n: int = 0,
     lifted: bool = False,
 ) -> Iterator[list[tuple[int, PadicNumber]]]:
-    """The terms of `_level_terms` for every shift in shifts, one list per
-    shift in turn, off one moment table and one set of level factors.
+    """Per shift a in shifts, one list in turn: rho'^(p^M) S_m / [p^M]' for
+    m in levels (sorted), where S_m is the sum over y < p^m of f(x)
+    (q/rho)^x at x = a + p^n y.
+
+    At the given parameters M = n + m: the plain integral (n = 0) and the
+    direct restricted sums.  With lifted, M = m at params.lifted(n), times
+    1/[p^n]: the restriction identity.  The sums are taken off one moment
+    table, to w = d + n + top + 1 digits, and are sound to w - deficiency.
+    Each level costs one product: the sum times its factor from
+    `_level_factors`, which every shift shares.  A product or quotient keeps
+    the sum of the valuations and the fewest digits, so folding the factors
+    first gives the same value as dividing per ball.
 
     Made as they are read, the lookups at the first read: a caller that
     builds each ball's sequence as its terms come out never holds a whole
@@ -527,31 +538,6 @@ def _level_batch(
         yield terms
 
 
-def _level_terms(
-    f: IntegrableFunction,
-    params: RhoQParams,
-    levels: Sequence[int],
-    d: int,
-    shift: int = 0,
-    n: int = 0,
-    lifted: bool = False,
-) -> list[tuple[int, PadicNumber]]:
-    """rho'^(p^M) S_m / [p^M]' for m in levels (sorted), where S_m is the sum
-    over y < p^m of f(x) (q/rho)^x at x = shift + p^n y.
-
-    At the given parameters M = n + m: the plain integral (n = 0) and the
-    direct restricted sums.  With lifted, M = m at params.lifted(n), times
-    1/[p^n]: the restriction identity.  The sums are taken once, to
-    w = d + n + top + 1 digits, and are sound to w - deficiency.  Each level
-    costs one product: the sum times its factor from `_level_factors`, which
-    is shared by every ball of the level.  A product or quotient keeps the
-    sum of the valuations and the fewest digits, so folding the factors
-    first gives the same value as dividing per ball.  The one-shift case of
-    `_level_batch`.
-    """
-    return next(_level_batch(f, params, levels, d, (shift,), n, lifted))
-
-
 def volkenborn_integral(
     f: IntegrableFunction,
     params: RhoQParams,
@@ -565,11 +551,9 @@ def volkenborn_integral(
     if not levels or levels[0] < 1:
         raise ValueError("levels must be >= 1")
     d = digits if digits is not None else params.precision
-    t = target_exponent if target_exponent is not None else max(2, d - 2)
-    terms = [
-        (N, a.reduce_abs(d) if a.abs_precision > d else a)
-        for N, a in _level_terms(f, params, levels, d)
-    ]
+    t = target_exponent if target_exponent is not None else default_target(d)
+    [terms] = _level_batch(f, params, levels, d, (0,))
+    terms = [(N, a.reduce_abs(d) if a.abs_precision > d else a) for N, a in terms]
     return ApproximantSequence.build(
         params.prime, terms, t, note="integral of %s" % f.describe()
     )
@@ -592,9 +576,9 @@ def weighted_measure_sequence(
     if not inner_levels or inner_levels[0] < 1:
         raise ValueError("inner levels must be >= 1")
     d = digits if digits is not None else params.precision
-    terms = _level_terms(f, params, inner_levels, d, ball.rep, ball.level, lifted=True)
+    [terms] = _level_batch(f, params, inner_levels, d, (ball.rep,), ball.level, lifted=True)
     note = "weighted measure of %s on %s" % (f.describe(), ball)
-    return ApproximantSequence.build(params.prime, terms, max(2, d - 2), note=note)
+    return ApproximantSequence.build(params.prime, terms, default_target(d), note=note)
 
 
 def weighted_measure_direct(
@@ -612,9 +596,9 @@ def weighted_measure_direct(
     weighted_measure_sequence (same mathematical object, different arithmetic).
     """
     d = digits if digits is not None else params.precision
-    terms = _level_terms(f, params, range(1, depth + 1), d, ball.rep, ball.level)
+    [terms] = _level_batch(f, params, range(1, depth + 1), d, (ball.rep,), ball.level)
     note = "direct restricted sums of %s on %s" % (f.describe(), ball)
-    return ApproximantSequence.build(params.prime, terms, max(2, d - 2), note=note)
+    return ApproximantSequence.build(params.prime, terms, default_target(d), note=note)
 
 
 #: the inner levels of a weighted-family ball value
@@ -629,7 +613,7 @@ def _ball_memo(params: RhoQParams) -> dict[IntegrableFunction, dict[Ball, PadicN
 
 class WeightedDistribution(Distribution):
     """The f-weighted family as a Distribution: ball values, the limit
-    estimates of `weighted_measure_sequence` over WEIGHTED_LEVELS, memoized in
+    estimates of the restriction identity over WEIGHTED_LEVELS, memoized in
     `_ball_memo(params)[f]`, which every instance with equal (f, params) shares
     (f and params hashed once per instance).  A new pair or `cache_clear()` drops
     the memo (an older instance keeps its dict); BALL_MEMO_SIZE bounds it."""
@@ -649,25 +633,29 @@ class WeightedDistribution(Distribution):
                 memo.clear()
 
     def _value(self, ball: Ball) -> PadicNumber:
-        self._make_room(1)  # `value` stores the result
-        return weighted_measure_sequence(
-            self.f, self.params, ball, WEIGHTED_LEVELS, digits=self.digits
-        ).limit_estimate()
+        return self._batch(ball.level, [ball.rep])[0]
 
     def level_values(self, level: int) -> list[PadicNumber]:
-        """value(a + p^level Z_p) for a = 0..p^level - 1, those of `_value`:
-        the balls not in the memo are made in one batch (`_level_batch`) and
-        memoized, unless they alone pass BALL_MEMO_SIZE."""
-        p, d = self.params.prime, self.digits
-        balls = [Ball(p, a, level) for a in range(p**level)]
-        out = [self._memo.get(ball) for ball in balls]
+        """value(a + p^level Z_p) for a = 0..p^level - 1: the balls not in
+        the memo are made in one batch."""
+        p = self.params.prime
+        out = [self._memo.get(Ball(p, a, level)) for a in range(p**level)]
         missing = [a for a, v in enumerate(out) if v is None]
-        batch = _level_batch(self.f, self.params, WEIGHTED_LEVELS, d, missing, level, lifted=True)
-        for a, terms in zip(missing, batch):
-            out[a] = ApproximantSequence.build(p, terms, max(2, d - 2)).limit_estimate()
-        self._make_room(len(missing))
-        if len(missing) <= BALL_MEMO_SIZE:
-            self._memo.update((balls[a], out[a]) for a in missing)
+        for a, v in zip(missing, self._batch(level, missing)):
+            out[a] = v
+        return out
+
+    def _batch(self, level: int, reps: list[int]) -> list[PadicNumber]:
+        """The values of the balls a + p^level Z_p, a in reps, off one
+        `_level_batch`, memoized unless they alone pass BALL_MEMO_SIZE."""
+        if not reps:  # a level the memo holds looks nothing up
+            return []
+        p, d = self.params.prime, self.digits
+        batch = _level_batch(self.f, self.params, WEIGHTED_LEVELS, d, reps, level, lifted=True)
+        out = [ApproximantSequence.build(p, t, default_target(d)).limit_estimate() for t in batch]
+        self._make_room(len(reps))
+        if len(reps) <= BALL_MEMO_SIZE:
+            self._memo.update(zip((Ball(p, a, level) for a in reps), out))
         return out
 
     def describe(self) -> dict:
@@ -770,29 +758,37 @@ class IntegralComparison:
 
 
 def integral_against_weighted(
-    g: IntegrableFunction, weights: Sequence[WeightedDistribution], outer_levels: Sequence[int]
-) -> list[IntegralComparison]:
-    """Riemann sums of g against each P-weighted measure vs the integral of gP,
-    one comparison per distribution in weights.
+    gs: Sequence[IntegrableFunction],
+    weights: Sequence[WeightedDistribution],
+    outer_levels: Sequence[int],
+) -> list[list[IntegralComparison]]:
+    """Riemann sums of each g in gs against each P-weighted measure vs the
+    integral of gP: per g, one comparison per distribution in weights.
 
     P, the parameters and the precision are those of each distribution (its
-    `f`, `params` and `digits`); the distributions share their parameters, so
-    g is read once per level for all of them, and every level of ball values
-    is filled in one batch (`WeightedDistribution.level_values`).  Returns
-    both sequences and the fitted lhs/rhs ratio; whether that ratio is
-    independent of g is for the caller (the audit battery) to decide.
+    `f`, `params` and `digits`); the distributions share their parameters.
+    Each outer level is read once: every weight's ball values
+    (`WeightedDistribution.level_values`) and every g grid, so the ball memo
+    only shares values across reports.  Returns both sequences and the
+    fitted lhs/rhs ratio; whether that ratio is independent of g is for the
+    caller (the audit battery) to decide.
     """
     params, d = weights[0].params, weights[0].digits
     if any(weighted.params != params for weighted in weights):
         raise ValueError("the weighted distributions must share their parameters")
     p = params.prime
     outer_levels = sorted(outer_levels)
-    terms: list[list] = [[] for _ in weights]
+    terms = [[[] for _ in weights] for _ in gs]
     for m in outer_levels:
-        gs = values(g, params, range(p**m), d + m + 2)
-        for weighted, out in zip(weights, terms):
-            out.append((m, dot(gs, weighted.level_values(m))))
-    return [_comparison(g, w, t, outer_levels) for w, t in zip(weights, terms)]
+        balls = [weighted.level_values(m) for weighted in weights]
+        for g, per_weight in zip(gs, terms):
+            grid = values(g, params, range(p**m), d + m + 2)
+            for vs, out in zip(balls, per_weight):
+                out.append((m, dot(grid, vs)))
+    return [
+        [_comparison(g, w, t, outer_levels) for w, t in zip(weights, per_weight)]
+        for g, per_weight in zip(gs, terms)
+    ]
 
 
 def _comparison(
@@ -801,9 +797,8 @@ def _comparison(
     """The comparison of g against one weight, from its Riemann sums."""
     params, d = weighted.params, weighted.digits
     p = params.prime
-    lhs = ApproximantSequence.build(
-        p, terms, max(2, d - 2), note="Riemann sums of %s against weighted measure" % g.describe()
-    )
+    label = "Riemann sums of %s against weighted measure" % g.describe()
+    lhs = ApproximantSequence.build(p, terms, default_target(d), note=label)
     rhs = volkenborn_integral(product(g, weighted.f), params, outer_levels, digits=d)
     ratio = None
     note = ""

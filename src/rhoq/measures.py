@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .calculus import RhoQParams, rhoq_integer
 from .padic import PadicNumber, dot, padic_from_integer, vp
-from .sequences import ApproximantSequence, gap_norm
+from .sequences import ApproximantSequence, default_target, gap_norm
 
 
 @dataclass(frozen=True, slots=True)
@@ -357,7 +357,7 @@ def radon_nikodym_derivative(
     if x < 0:
         raise ValueError("x must be a nonnegative integer")
     p = dist.params.prime
-    t = target_exponent if target_exponent is not None else max(2, dist.digits - 2)
+    t = target_exponent if target_exponent is not None else default_target(dist.digits)
     terms = [(N, dist.rescaled(Ball(p, x, N))) for N in sorted(levels)]
     return ApproximantSequence.build(p, terms, t, note="rescaled ball values at x=%d" % x)
 

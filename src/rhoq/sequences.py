@@ -38,6 +38,12 @@ def _aitken(a2: PadicNumber, d1: PadicNumber, d2: PadicNumber) -> PadicNumber | 
         return None
 
 
+def default_target(digits: int) -> int:
+    """The target exponent of a sequence at `digits` working digits, when its
+    caller names none."""
+    return max(2, digits - 2)
+
+
 @dataclass
 class ApproximantSequence:
     """Indexed approximants A_N with Cauchy-rate estimates."""

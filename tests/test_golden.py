@@ -77,6 +77,13 @@ def test_p7_audit_report_is_byte_identical_to_golden(theorem):
     assert _audit(["audit", theorem, "--p", "7", "--levels", "1:4"]) == golden.read_bytes()
 
 
+def test_thm33_report_past_the_ball_memo_is_byte_identical_to_golden():
+    """thm33 at p = 7, levels 1:5: one level of its Riemann sums is 3 * 7^5 =
+    50,421 ball values, more than BALL_MEMO_SIZE."""
+    golden = Path(__file__).parent / "golden" / "audit_thm33_p7_prec12_levels1-5_seed1.json"
+    assert _audit(["audit", "thm33", "--p", "7", "--levels", "1:5"]) == golden.read_bytes()
+
+
 REGIMES = {
     "deformed": (Fraction(26, 31), Fraction(11)),
     "classical": (Fraction(1), Fraction(1)),

@@ -378,7 +378,7 @@ class TestIntegralIdentity:
     def test_classical_ratio_is_one(self):
         pr = RhoQParams.classical(5, 12)
         weighted = WeightedDistribution(bracket_power(1), pr)
-        [comp] = integral_against_weighted(const(1), [weighted], range(1, 4))
+        [[comp]] = integral_against_weighted([const(1)], [weighted], range(1, 4))
         assert comp.fitted_ratio is not None
         one = padic_from_integer(1, 5, 12)
         assert comp.fitted_ratio.agrees(one, 3)
@@ -387,9 +387,9 @@ class TestIntegralIdentity:
         pr = params(prec=12)
         weight = bracket_power(1)
         shared = WeightedDistribution(weight, pr)
+        gs = (const(1), coordinate(), ratio_exponential())
         ratios = []
-        for g in (const(1), coordinate(), ratio_exponential()):
-            [comp] = integral_against_weighted(g, [shared], range(1, 4))
+        for [comp] in integral_against_weighted(gs, [shared], range(1, 4)):
             if comp.fitted_ratio is not None:
                 ratios.append(comp.fitted_ratio)
         assert len(ratios) >= 2

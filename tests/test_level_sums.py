@@ -5,21 +5,22 @@ included; one process that reads many progressions off the shared
 moment tables; the tables' shift polynomials at shifts past the step and
 past the levels; the folded per-level factors against the chain of products
 and divisions they replace; a whole level of weighted ball values in one
-batch against the single-ball route; and the moment-table lookups of one
-thm33 report, on a cold and on a warm ball memo."""
+batch against the single-ball route; the moment-table lookups of one
+thm33 report, on a cold and on a warm ball memo; and the ball values its
+level batches make on a ball memo smaller than its Riemann sums."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rhoq import cli
+from rhoq import cli, integration
 from rhoq.calculus import RhoQParams, rhoq_integer
 from rhoq.integration import (
     WEIGHTED_LEVELS,
     WeightedDistribution,
     _ball_memo,
-    _level_terms,
+    _level_batch,
     _moment_table,
     bracket_power,
     const,
@@ -168,7 +169,7 @@ def test_folded_level_factors_match_the_unfused_chain(p, regime, lifted):
     levels = (1, 2, 3)
     for f in (const(0), poly_in_x([1, 3, 0, 2]), bracket_power(2), mixed_power(1, 1)):
         for shift, n in ((0, 0), (1, 1), (p + 2, 2)):
-            folded = _level_terms(f, params, levels, 8, shift, n, lifted)
+            [folded] = _level_batch(f, params, levels, 8, (shift,), n, lifted)
             unfused = _unfused_terms(f, params, levels, 8, shift, n, lifted)
             assert [m for m, _ in folded] == list(levels)
             got = [(t.val, t.unit, t.digits) for _, t in folded]
@@ -277,3 +278,33 @@ def test_moment_table_lookups_of_one_thm33_report(capsys):
     assert cli.main(argv + ["--seed", "7"]) == 0
     capsys.readouterr()
     assert lookups() - before == 16
+
+
+def test_one_thm33_report_reads_each_level_once(monkeypatch, capsys):
+    """`audit thm33 --p 3 --levels 1:5 --tol 5` on a ball memo bounded at
+    500 values, fewer than the 1,089 its Riemann sums read: its level batches
+    make as many balls as at the default bound, 1,022 (the rest were made
+    before the Riemann sums), and it prints the same bytes.  A report that
+    read every level once per g, on a memo emptied between the reads, made
+    4,289."""
+    argv = ["audit", "thm33", "--p", "3", "--levels", "1:5", "--tol", "5"]
+    made = []
+    level_values = WeightedDistribution.level_values
+
+    def counted(self, level):
+        p = self.params.prime
+        made.append(sum(Ball(p, a, level) not in self._memo for a in range(p**level)))
+        return level_values(self, level)
+
+    monkeypatch.setattr(WeightedDistribution, "level_values", counted)
+
+    def report():
+        made.clear()
+        _ball_memo.cache_clear()
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out, sum(made)
+
+    at_default = report()
+    assert at_default[1] == 1022
+    monkeypatch.setattr(integration, "BALL_MEMO_SIZE", 500)
+    assert report() == at_default
