@@ -6,7 +6,10 @@ interest are limits, and auditing them needs the rates, not just a value.
 Every integrand is an exponential polynomial: with
 [x] = (rho^x - q^x)/(rho - q), or x q^(x-1) at rho = q, `lower` writes it
 once as p^-v sum P_b(x) b^x with residue coefficients; `lower` is the one
-interpreter of the integrand tree.  The level sums over x = a + p^n y read
+interpreter of the integrand tree, one branch per kind of node.  One loop
+builds every series (in x, in [x], in the Gaussian binomials), one product
+per basis term, and skips zero coefficients, so [x]^K lowers in O(K^2)
+products.  The level sums over x = a + p^n y read
 one moment table per (integrand, step), which does not depend on a: per
 base and level it holds the level sum as a polynomial in the shift a, made
 once from the sums of y^k C^y with C = (b q/rho)^(p^n), so the p^n balls of
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -62,16 +65,17 @@ class IntegrableFunction:
     the level sums and the point values (`values`) both go through its
     normal form.
 
-    Tags: poly_x (polynomial in x; constants too), poly_bracket (polynomial
-    in [x]), exponential (c^x; c = q/rho when base is None), mixed
-    (rho^(a x) [x]^n), mahler (Gaussian-binomial series), product, sum.
+    Tags, with what `coeffs` holds for each:
+      poly_x        c_m of sum c_m x^m (constants too);
+      poly_bracket  c_m of sum c_m [x]^m;
+      mahler        c_m of sum c_m {x choose m}, the Gaussian binomials;
+      exponential   (c, i, j) for c^x rho^(i x) q^(j x);
+      product       nothing: the product of `parts`;
+      sum           c_k of sum c_k parts[k].
     """
 
     tag: str
     coeffs: tuple = ()
-    base: Fraction | None = None
-    a: int = 0
-    n: int = 0
     parts: tuple = ()
     label: str = ""
 
@@ -98,24 +102,23 @@ def poly_in_bracket(coeffs: Sequence, label: str = "") -> IntegrableFunction:
 
 
 def bracket_power(k: int) -> IntegrableFunction:
-    if k < 0:
+    if k < 0:  # [0] = 0, so [x]^k is not defined on Z_p
         raise ValueError("n must be >= 0")
     coeffs = tuple([Fraction(0)] * k + [Fraction(1)])
     return IntegrableFunction("poly_bracket", coeffs=coeffs, label="[x]^%d" % k)
 
 
 def ratio_exponential() -> IntegrableFunction:
-    return IntegrableFunction("exponential", label="(q/rho)^x")
+    return IntegrableFunction("exponential", coeffs=(Fraction(1), -1, 1), label="(q/rho)^x")
 
 
 def exponential(base: Fraction | int) -> IntegrableFunction:
-    return IntegrableFunction("exponential", base=Fraction(base), label="(%s)^x" % base)
+    return IntegrableFunction("exponential", coeffs=(Fraction(base), 0, 0), label="(%s)^x" % base)
 
 
 def mixed_power(a: int, n: int) -> IntegrableFunction:
-    if n < 0:  # [0] = 0, so [x]^n is not defined on Z_p
-        raise ValueError("n must be >= 0")
-    return IntegrableFunction("mixed", a=a, n=n, label="rho^(%dx)[x]^%d" % (a, n))
+    rho_power = IntegrableFunction("exponential", coeffs=(Fraction(1), a, 0))
+    return replace(product(rho_power, bracket_power(n)), label="rho^(%dx)[x]^%d" % (a, n))
 
 
 def mahler_function(coeffs: Sequence, label: str = "") -> IntegrableFunction:
@@ -208,11 +211,11 @@ def lower(f: IntegrableFunction, params: RhoQParams, w: int) -> NormalForm:
             return sum(map(guard, g.parts))
         if g.tag == "sum":
             return max((guard(part) + lift(c) for c, part in zip(g.coeffs, g.parts)), default=0)
-        e = max(map(lift, g.coeffs), default=0)
-        if g.tag in ("poly_bracket", "mixed", "mahler"):
-            k = max(g.n if g.tag == "mixed" else len(g.coeffs) - 1, 0)
-            e += k * (nu or 0) + (vp_factorial(k, p) if g.tag == "mahler" else 0)
-        return e
+        if g.tag == "exponential":
+            return 0
+        k = 0 if g.tag == "poly_x" else max(len(g.coeffs) - 1, 0)  # the [x] in a series term
+        e = max(map(lift, g.coeffs), default=0) + k * (nu or 0)
+        return e + vp_factorial(k, p) if g.tag == "mahler" else e
 
     W = w + guard(f)
     mod = p**W
@@ -253,40 +256,39 @@ def lower(f: IntegrableFunction, params: RhoQParams, w: int) -> NormalForm:
     one, zero = (0, {1: [1]}), (0, {})
 
     def build(g: IntegrableFunction) -> tuple:
-        tag = g.tag
-        acc, power = zero, one
+        tag, acc = g.tag, zero
         if tag == "product":
-            for part in g.parts:
-                power = _nf_mul(power, build(part), mod)
-            return power
-        if tag in ("sum", "poly_x"):  # sum of c_k g_k, the monomials x^k for poly_x
-            for k, c in enumerate(g.coeffs):
-                part = build(g.parts[k]) if tag == "sum" else (0, {1: [0] * k + [1]})
-                acc = _nf_add(acc, part, p, mod, *coeff(c))
+            return reduce(lambda nf, part: _nf_mul(nf, build(part), mod), g.parts, one)
+        if tag == "sum":
+            for c, part in zip(g.coeffs, g.parts):
+                acc = _nf_add(acc, build(part), p, mod, *coeff(c))
             return acc
-        if tag == "exponential" and g.base is not None:
-            # c^x is continuous on Z_p only for c in 1 + pZ_p
-            if g.base.denominator % p == 0 or (g.base - 1).numerator % p:
-                raise DomainError("rhoq_power requires base in 1 + pZ_p")
-            return 0, {coeff(g.base)[0]: [1]}
-        params.require_digits(w)  # the families below read rho and q
         if tag == "exponential":
-            return 0, {ratio: [1]}
-        if tag == "poly_bracket":
-            for c in g.coeffs:
-                acc = _nf_add(acc, power, p, mod, *coeff(c))
-                power = _nf_mul(power, shifted_bracket(0), mod)
-        elif tag == "mixed":
-            acc = (0, {pow(rho, g.a, mod): [1]})
-            for _ in range(g.n):
-                acc = _nf_mul(acc, shifted_bracket(0), mod)
-        elif tag == "mahler":  # power: the falling product of [x - j], j < m
-            for m, c in enumerate(g.coeffs):
-                power = _nf_mul(power, shifted_bracket(m - 1), mod) if m else power
-                c, e = coeff(c)
-                acc = _nf_add(acc, power, p, mod, c * factorial_inverse(m), vp_factorial(m, p) + e)
-        else:
+            c, i, j = g.coeffs
+            # c^x is continuous on Z_p only for c in 1 + pZ_p
+            if c.denominator % p == 0 or (c - 1).numerator % p:
+                raise DomainError("rhoq_power requires base in 1 + pZ_p")
+            if i or j:
+                params.require_digits(w)
+            return 0, {coeff(c)[0] * pow(rho, i, mod) * pow(q, j, mod) % mod: [1]}
+        if tag not in ("poly_x", "poly_bracket", "mahler"):
             raise ValueError("unknown tag %r" % tag)
+        # sum c_m B_m, B_m = x^m, [x]^m or prod_{j<m} [x - j] / [m]!, one product a step;
+        # a rational 0 adds nothing unless last, so an all-zero series keeps a zero term
+        if tag != "poly_x":
+            params.require_digits(w)  # the brackets read rho and q
+        basis, last = one, len(g.coeffs) - 1
+        for m, c in enumerate(g.coeffs):
+            if m and tag != "poly_x":
+                basis = _nf_mul(basis, shifted_bracket(m - 1 if tag == "mahler" else 0), mod)
+            if c == 0 and m < last:  # a rational 0 (a PadicNumber is never == 0)
+                continue
+            c, e = coeff(c)
+            if tag == "poly_x":
+                basis = 0, {1: [0] * m + [1]}
+            elif tag == "mahler":
+                c, e = c * factorial_inverse(m), e + vp_factorial(m, p)
+            acc = _nf_add(acc, basis, p, mod, c, e)
         return acc
 
     v, polys = build(f)

@@ -235,28 +235,10 @@ class PadicNumber:
         Comparison is vacuously true when no digit of either value is known
         modulo p (t <= 0).
         """
-        p = _common_prime(self, other)
-        t = min(self.abs_precision, other.abs_precision)
-        if abs_prec is not None:
-            t = min(t, abs_prec)
-        if t == inf:  # both exact zeros
-            return True
-        t = int(t)
-        if t <= 0:
-            return True
-        vals = [z.val for z in (self, other) if z.unit != 0]
-        if not vals:
-            return True  # both vanish mod p^t
-        v0 = min(min(vals), t)
-        k = t - v0
-        mod = p**k
-
-        def scaled(z: "PadicNumber") -> int:
-            if z.unit == 0:
-                return 0
-            return z.unit * p ** (z.val - v0) % mod
-
-        return scaled(self) == scaled(other)
+        _common_prime(self, other)
+        t = min(self.abs_precision, other.abs_precision, inf if abs_prec is None else abs_prec)
+        # t <= 0 first: values known to no digit that cancel have no difference
+        return t <= 0 or (self - other).valuation >= t
 
     # -- canonicalization ----------------------------------------------------
 

@@ -242,9 +242,8 @@ def function_value(f, rho: Fraction, q: Fraction, x: int) -> Fraction:
         b = bracket(x, rho, q)
         return sum((exact(c) * b**i for i, c in enumerate(f.coeffs)), Fraction(0))
     if f.tag == "exponential":
-        return (q / rho if f.base is None else Fraction(f.base)) ** x
-    if f.tag == "mixed":
-        return rho ** (f.a * x) * bracket(x, rho, q) ** f.n
+        c, i, j = f.coeffs
+        return Fraction(c) ** x * rho ** (i * x) * q ** (j * x)
     if f.tag == "mahler":
         terms = (exact(c) * rhoq_binomial_exact(x, m, rho, q) for m, c in enumerate(f.coeffs))
         return sum(terms, Fraction(0))

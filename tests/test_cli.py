@@ -160,6 +160,8 @@ class TestMalformedFunctionSpec:
         "[x]^" + HUGE: "[x]^K with an integer K >= 0",
         "x^%d" % 10**12: "x^K with an integer K >= 0",
         "[x]^%d" % 10**12: "[x]^K with an integer K >= 0",
+        "mixed:1," + HUGE: "mixed:A,N with integers A and N >= 0",
+        "mixed:1,%d" % 10**12: "mixed:A,N with integers A and N >= 0",
     }
 
     @pytest.mark.parametrize("spec", CASES.keys())

@@ -67,7 +67,7 @@ def integrands(draw, p, rho, q, w):
         k = draw(st.integers(0, 4))
         return poly_in_x([0] * k + [1]), lambda x: Fraction(x) ** k, 0
     if kind == "[x]^k":
-        k = draw(st.integers(0, 3))
+        k = draw(st.integers(0, 6))
         return bracket_power(k), lambda x: bracket(x, rho, q) ** k, 0
     if kind == "ratio":
         return ratio_exponential(), lambda x: (q / rho) ** x, 0
@@ -75,7 +75,7 @@ def integrands(draw, p, rho, q, w):
         b = Fraction(1 + p * draw(st.integers(-20, 20)))
         return exponential(b), lambda x: b**x, 0
     if kind == "mixed":
-        a, n = draw(st.integers(-2, 2)), draw(st.integers(0, 3))
+        a, n = draw(st.integers(-2, 2)), draw(st.integers(0, 6))
         return mixed_power(a, n), lambda x: rho ** (a * x) * bracket(x, rho, q) ** n, 0
     if kind == "mahler":
         known = draw(st.lists(st.integers(1, w + 3), min_size=1, max_size=5))

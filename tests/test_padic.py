@@ -130,6 +130,51 @@ class TestArithmetic:
         assert r.unit == 1  # 126 ≡ 1 mod 125
 
 
+def _z(n: int, p: int, abs_prec: int) -> PadicNumber:
+    return PadicNumber.from_integer(n, p, abs_prec)
+
+
+def _o(p: int, abs_prec: int) -> PadicNumber:
+    return PadicNumber.bounded_zero(p, abs_prec)
+
+
+_NEGATIVE = (PadicNumber(5, -2, 7, 4), PadicNumber(5, -2, 132, 4))
+
+
+class TestAgrees:
+    """x ≡ y modulo p^t, t the fewest known digits of x, y and abs_prec."""
+
+    CASES = {
+        "vacuous-at-abs-prec-0": (_z(1, 5, 3), _z(2, 5, 3), 0, True),
+        "vacuous-at-negative-abs-prec": (_z(1, 5, 3), _z(2, 5, 3), -2, True),
+        "two-exact-zeros": (PadicNumber.exact_zero(5), PadicNumber.exact_zero(5), None, True),
+        "exact-zero-vs-unit": (PadicNumber.exact_zero(5), _z(1, 5, 3), None, False),
+        "exact-zero-vs-bounded-zero": (PadicNumber.exact_zero(5), _o(5, 3), None, True),
+        "bounded-zeros": (_o(5, 3), _o(5, 6), None, True),
+        "bounded-zero-vs-deeper-value": (_o(5, 3), _z(125, 5, 6), None, True),
+        "bounded-zero-vs-unit": (_o(5, 3), _z(1, 5, 6), None, False),
+        # 5^-2 * 7 and 5^-2 * 132, both known mod 5^2, differ by 5^1
+        "negative-valuations-differ": _NEGATIVE + (None, False),
+        "negative-valuations-agree-below": _NEGATIVE + (1, True),
+        "abs-prec-below-the-known-digits": (_z(1, 5, 3), _z(26, 5, 6), 1, True),
+        "known-digits-differ": (_z(1, 5, 3), _z(26, 5, 6), None, False),
+        "abs-prec-above-the-known-digits": (_z(1, 5, 3), _z(126, 5, 6), 10, True),
+        # known to no digit (t = -1): true without forming the difference
+        "no-digit-known-agrees-with-itself": (PadicNumber(3, -3, 1, 2),) * 2 + (None, True),
+    }
+
+    @pytest.mark.parametrize("case", CASES.keys())
+    def test_table(self, case):
+        x, y, abs_prec, expected = self.CASES[case]
+        assert x.agrees(y, abs_prec) is expected
+        assert y.agrees(x, abs_prec) is expected
+
+    @pytest.mark.parametrize("abs_prec", [None, 0])
+    def test_prime_mismatch_raises_even_when_vacuous(self, abs_prec):
+        with pytest.raises(DomainError):
+            _z(1, 3, 2).agrees(_z(1, 5, 2), abs_prec)
+
+
 class TestRendering:
     def test_documented_sample(self):
         # digits least-significant first, zero digits written out

@@ -1,5 +1,5 @@
 """`values`, the point values read off the normal form, against the exact
-Fraction oracle over all seven families and three regimes, points of high
+Fraction oracle over every tag and three regimes, points of high
 valuation included; its precision rule; and its two zeros."""
 
 from fractions import Fraction
@@ -43,8 +43,11 @@ def parameters(draw):
 
 
 def rationals(p):
-    """Coefficients, p in the denominator included."""
-    return st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, p, p * p]))
+    """Coefficients, p in the denominator included, and 0 about half the time
+    (series with interior zeros)."""
+    return st.just(Fraction(0)) | st.builds(
+        Fraction, st.integers(-30, 30), st.sampled_from([1, 2, p, p * p])
+    )
 
 
 @st.composite
@@ -64,12 +67,16 @@ def integrands(draw, p, depth=1):
     if kind == "mixed":
         return mixed_power(draw(st.integers(-2, 2)), draw(st.integers(0, 3)))
     if kind == "mahler":
-        # p-adic coefficients, some known to few digits, some of negative valuation
+        # p-adic coefficients, some known to few digits, some of negative
+        # valuation, both kinds of zero, and rationals (0 among them)
         coeffs = draw(st.lists(
             st.builds(
                 lambda c, v, k: PadicNumber.from_fraction(Fraction(c) * Fraction(p) ** v, p, k + v),
                 st.integers(1, p**6), st.integers(-1, 2), st.integers(2, 16),
-            ),
+            )
+            | st.just(PadicNumber.exact_zero(p))
+            | st.builds(PadicNumber.bounded_zero, st.just(p), st.integers(1, 16))
+            | rationals(p),
             max_size=4,
         ))
         return mahler_function(coeffs)
