@@ -239,7 +239,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except (PadicError, ValueError) as exc:
+    # OverflowError: a parsed size past an index, as in range(10**20) or sorted() of it
+    except (PadicError, ValueError, OverflowError) as exc:
         print("rhoq: error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
 

@@ -50,7 +50,7 @@ from .calculus import (
     rhoq_integer,
     vp_factorial,
 )
-from .measures import Ball, Distribution
+from .measures import Ball, Distribution, rhoq_haar_measure
 from .padic import DomainError, PadicNumber, PrecisionError, _new, div, dot, vp
 from .sequences import ApproximantSequence, default_target
 
@@ -473,20 +473,16 @@ def _level_factors(
     params: RhoQParams, levels: tuple[int, ...], n: int, known: int, lifted: bool
 ) -> tuple[PadicNumber, ...]:
     """What `_level_batch` multiplies the level-m sum of every ball of level n
-    by, per m in levels, at `known` digits: rho'^(p^M)/[p^M]', times 1/[p^n]
-    when lifted.  A divisor that is a bounded zero raises PrecisionError."""
-    p, mod = params.prime, params.prime**known
+    by, per m in levels, at `known` digits: rho'^(p^M)/[p^M]', the Haar value
+    of p^M Z_p, times 1/[p^n] when lifted.  A divisor that is a bounded zero
+    raises PrecisionError."""
+    p = params.prime
     at = params.lifted(n) if lifted else params
-    rho = at.rho_residue(known)
     outer = PadicNumber.one(p, known)
     if lifted:
         outer = div(outer, rhoq_integer(p**n, params, known))
-    factors = []
-    for m in levels:
-        M = m if lifted else n + m
-        scale = PadicNumber(p, 0, pow(rho, p**M, mod), known)
-        factors.append(outer * div(scale, rhoq_integer(p**M, at, known)))
-    return tuple(factors)
+    Ms = (m if lifted else n + m for m in levels)
+    return tuple(outer * rhoq_haar_measure(Ball(p, 0, M), at, known - M) for M in Ms)
 
 
 def _level_batch(
@@ -635,7 +631,8 @@ class WeightedDistribution(Distribution):
                 memo.clear()
 
     def _value(self, ball: Ball) -> PadicNumber:
-        return self._batch(ball.level, [ball.rep])[0]
+        hit = self._memo.get(ball)
+        return hit if hit is not None else self._batch(ball.level, [ball.rep])[0]
 
     def level_values(self, level: int) -> list[PadicNumber]:
         """value(a + p^level Z_p) for a = 0..p^level - 1: the balls not in

@@ -59,19 +59,18 @@ def _per_level(make: Callable) -> Callable:
 
 
 class Distribution:
-    """Lazy ball function with memoization (audit sweeps re-query balls heavily).
+    """Lazy ball function: a ball's value is made when it is read.
 
     Values are pure given the parameters and known to `digits`, the
-    precision of the parameters.  `_memo` (ball values) and `_levels` (what
-    the balls of one level share: the `_per_level` methods) follow a
-    read-mostly discipline (atomic dict writes, idempotent entries).
+    precision of the parameters.  Only what the balls of one level share is
+    kept, in `_levels` (the `_per_level` methods; atomic dict writes,
+    idempotent entries), and each ball is remade from it when read.
     """
 
     family = "abstract"
 
     def __init__(self, params: RhoQParams):
         self.params = params
-        self._memo: dict[Ball, PadicNumber] = {}
         self._levels: dict[tuple[Callable, int], object] = {}
 
     @property
@@ -79,11 +78,7 @@ class Distribution:
         return self.params.precision
 
     def value(self, ball: Ball) -> PadicNumber:
-        hit = self._memo.get(ball)
-        if hit is None:
-            hit = self._value(ball)
-            self._memo[ball] = hit
-        return hit
+        return self._value(ball)
 
     def _value(self, ball: Ball) -> PadicNumber:
         raise NotImplementedError

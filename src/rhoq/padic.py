@@ -13,8 +13,7 @@ know is that the value is divisible by p^a.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
 from typing import Sequence
@@ -29,7 +28,7 @@ class DomainError(PadicError):
 
 
 class PrecisionError(PadicError):
-    """The precision budget is exhausted: a result would carry no digits."""
+    """A result would carry no digits at working precision."""
 
 
 def is_odd_prime(p: int) -> bool:
@@ -53,48 +52,6 @@ def vp(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-# ---------------------------------------------------------------------------
-# Precision budget
-# ---------------------------------------------------------------------------
-
-_ACTIVE_BUDGET: ContextVar["PrecisionBudget | None"] = ContextVar(
-    "rhoq_active_precision_budget", default=None
-)
-
-
-@dataclass
-class PrecisionBudget:
-    """Per-computation ledger of precision losses.
-
-    Every division through this context logs ν_p(divisor) lost digits, so
-    ``target_abs_precision - total_loss`` is the precision a straight-line
-    chain of unit-preserving operations still guarantees.  Use as a context
-    manager; budgets are per-context (contextvar), not global.
-    """
-
-    target_abs_precision: int
-    loss_log: list[tuple[str, int]] = field(default_factory=list)
-
-    def record(self, operation: str, digits_lost: int) -> None:
-        if digits_lost > 0:
-            self.loss_log.append((operation, digits_lost))
-
-    @property
-    def total_loss(self) -> int:
-        return sum(d for _, d in self.loss_log)
-
-    @property
-    def achieved_precision(self) -> int:
-        return self.target_abs_precision - self.total_loss
-
-    def __enter__(self) -> "PrecisionBudget":
-        self._token = _ACTIVE_BUDGET.set(self)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _ACTIVE_BUDGET.reset(self._token)
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +380,7 @@ def norm(x: PadicNumber) -> Fraction:
 
 
 def div(x: PadicNumber, y: PadicNumber) -> PadicNumber:
-    """x / y.  Logs ν_p(y) lost digits to the budget of the active
-    `PrecisionBudget` context, if any."""
+    """x / y, its unit known to min(x.digits, y.digits) digits."""
     p = x.prime if x.prime == y.prime else _common_prime(x, y)
     if y.unit == 0:
         if y.val is None:
@@ -433,9 +389,6 @@ def div(x: PadicNumber, y: PadicNumber) -> PadicNumber:
             "divisor is indistinguishable from zero at working precision O(%d^%d)"
             % (p, y.val)
         )
-    budget = _ACTIVE_BUDGET.get()
-    if budget is not None:
-        budget.record("div", y.val)
     if x.unit == 0:
         if x.val is None:
             return x

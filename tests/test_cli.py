@@ -137,6 +137,26 @@ class TestMalformedInvocation:
         out, err = capsys.readouterr()
         assert (out, err) == ("", "rhoq: error: zero denominator in %r\n" % argv[-1])
 
+    # a size past an index raises OverflowError deep in the run; sizes that fit
+    # an index but cannot be run (--levels 1:1000000000 lists 10^9 levels) stay out
+    OVERFLOW_CASES = {
+        "bernoulli-n": ["bernoulli", "--n", HUGE],
+        "integrate-levels": ["integrate", "--function", "x", "--levels", "1:" + HUGE],
+        "bernoulli-levels": ["bernoulli", "--n", "1", "--levels", "1:" + HUGE],
+        "rn-deriv-levels": ["rn-deriv", "--x", "7", "--levels", "1:" + HUGE],
+        "invariance-levels": ["measure", "--invariance", "--levels", "1:" + HUGE],
+        "weighted-invariance-levels": [
+            "measure", "--invariance", "--weight", "x", "--levels", "1:" + HUGE,
+        ],
+    }
+
+    @pytest.mark.parametrize("argv", OVERFLOW_CASES.values(), ids=OVERFLOW_CASES.keys())
+    def test_overflowing_size_exits_3_with_one_line(self, argv, capsys):
+        assert main(argv) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("rhoq: error: ")
+
     def test_fresh_process(self):
         code, out, err = fresh_process(["audit", "bogus"])
         assert code == 3 and out == ""

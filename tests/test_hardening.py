@@ -1,7 +1,6 @@
 """Cross-cutting checks: exact-rational oracles for the composed pipelines,
-classifier negatives, context isolation, and cross-prime smoke runs."""
+classifier negatives, degenerate parameters and cross-prime smoke runs."""
 
-import threading
 from fractions import Fraction
 
 from rhoq import integration
@@ -16,7 +15,7 @@ from rhoq.integration import (
     weighted_measure_sequence,
 )
 from rhoq.measures import Ball, Distribution, check_invariance, rhoq_haar_measure
-from rhoq.padic import PadicNumber, PrecisionBudget, padic_from_integer
+from rhoq.padic import PadicNumber, padic_from_integer
 
 from .oracles import bracket, function_value, rat_mod
 
@@ -76,30 +75,6 @@ class TestClassifierNegative:
         report = check_invariance(_BlowupDistribution(params(prec=14)), range(1, 4))
         assert report.kind == "none_detected"
         assert not report.weakly and not report.strongly and not report.one_admissible
-
-
-class TestBudgetIsolation:
-    def test_budgets_are_per_thread(self):
-        logs = {}
-
-        def work(name, divisor_val):
-            with PrecisionBudget(target_abs_precision=10) as budget:
-                x = padic_from_integer(3, 5, 10)
-                y = padic_from_integer(5**divisor_val, 5, 10)
-                for _ in range(divisor_val):
-                    x / y
-                logs[name] = budget.loss_log[:]
-
-        threads = [
-            threading.Thread(target=work, args=("one", 1)),
-            threading.Thread(target=work, args=("two", 2)),
-        ]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
-        assert logs["one"] == [("div", 1)]
-        assert logs["two"] == [("div", 2), ("div", 2)]
 
 
 class TestDegenerateParameters:

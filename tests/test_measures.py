@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -207,7 +209,7 @@ class TestWeightedAdditivity:
 
 class TestConcurrency:
     def test_concurrent_ball_evaluation_is_consistent(self):
-        # values are pure and memo and per-level writes idempotent: hammer one
+        # values are pure and per-level writes idempotent: hammer one
         # distribution with threads that switch often
         import sys
         from concurrent.futures import ThreadPoolExecutor
@@ -292,6 +294,29 @@ class TestPerLevelTables:
                     dist.rescaled(Ball(3, a, N))
                     dist.value(Ball(3, a, N))
                 assert len(calls) == per_level[name], (name, N)
+
+
+class TestNoBallStore:
+    """A distribution keeps its per-level tables and no ball values: reading
+    many distinct balls of one level leaves its size where it was."""
+
+    @pytest.mark.parametrize("name", ["haar", "density", "difference"])
+    def test_distinct_balls_do_not_grow_the_distribution(self, name):
+        pr = params(p=3, prec=10)
+        haar, density = RhoQHaar(pr), DensityScaled(_density(3), pr)
+        dist = {"haar": haar, "density": density, "difference": difference(haar, density)}[name]
+        dist.rescaled(Ball(3, 0, 8))  # fills the level-8 tables
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for a in range(1, 1001):
+                dist.rescaled(Ball(3, a, 8))
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 32 * 1024, (name, grown)
 
 
 def _zero_residue_grid(p: int, x: int) -> PadicNumber:

@@ -5,7 +5,6 @@ import pytest
 from rhoq.padic import (
     DomainError,
     PadicNumber,
-    PrecisionBudget,
     PrecisionError,
     div,
     padic_from_integer,
@@ -107,16 +106,6 @@ class TestArithmetic:
         q = div(x, y)
         assert q.digits == y.digits == 6
         assert q.val == -2
-
-    def test_budget_logs_division_loss(self):
-        with PrecisionBudget(target_abs_precision=8) as budget:
-            x = padic_from_integer(3, 5, 8)
-            y = padic_from_integer(25, 5, 8)
-            x / y
-            x / padic_from_integer(5, 5, 8)
-        assert budget.loss_log == [("div", 2), ("div", 1)]
-        assert budget.total_loss == 3
-        assert budget.achieved_precision == 5
 
     def test_pow_matches_repeated_mul(self):
         x = padic_from_integer(12, 5, 6)
