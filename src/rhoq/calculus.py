@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
+from typing import Iterator
 
 from .padic import (
     DomainError,
@@ -219,10 +221,12 @@ def rhoq_binomial(n: int, k: int, params: RhoQParams, digits: int | None = None)
     return div(num, rhoq_factorial(k, params, w))
 
 
-def binomial_triangle(
+def pascal_rows(
     order: int, params: RhoQParams, digits: int | None = None
-) -> list[list[PadicNumber | None]]:
-    """rows[n][k] = rhoq_binomial(n, k, params, digits) for 0 <= k <= n <= order.
+) -> Iterator[list[tuple[int, int, int] | None]]:
+    """Rows n = 0..order of the Gaussian binomials, each made from the row before
+    when it is read: entry k is (v, u, r) for rhoq_binomial(n, k, params, digits)
+    = p^v * u with r unit digits, the unit u known mod p^r but not reduced.
 
     The residues come from the Pascal rule
     {n choose k} = rho^(n-k) {n-1 choose k-1} + q^k {n-1 choose k}:
@@ -238,43 +242,48 @@ def binomial_triangle(
     """
     p = params.prime
     target = digits if digits is not None else params.precision
+    known = params.known_digits
     vps = [0] + [vp(m, p) for m in range(1, order + 1)]
-    vpf = [0]
-    for m in range(1, order + 1):
-        vpf.append(vpf[-1] + vps[m])
+    vpf = list(accumulate(vps))
     # An entry's absolute precision is at most its w: the valuation is the
     # number of carries in k + (n-k) (Kummer), and the highest carry is <= head.
     W = target + vpf[order] + max(vps)
-    if params.known_digits is not None:
-        W = min(W, params.known_digits)
+    if known is not None:
+        W = min(W, known)
     mod = p**W
     rho, q = params.rho_residue(W), params.q_residue(W)
     rho_pow, q_pow = [1], [1]
     for _ in range(order):
         rho_pow.append(rho_pow[-1] * rho % mod)
         q_pow.append(q_pow[-1] * q % mod)
-    one = PadicNumber.one(p, target)
-    rows: list[list[PadicNumber | None]] = []
+    one = (0, 1, target)
     res: list[int] = []  # row n - 1 of the triangle, as residues mod p^W
     for n in range(order + 1):
         res = [1] + [
             (rho_pow[n - k] * res[k - 1] + q_pow[k] * res[k]) % mod for k in range(1, n)
         ] + ([1] if n else [])
-        row = [one]
+        row: list[tuple[int, int, int] | None] = [one]
         head = 0
         for k in range(1, n):
-            head = max(head, vps[n - k + 1])
-            w = target + vpf[k] + head
-            if params.known_digits is not None:
-                w = min(w, params.known_digits)
-            r = w - head
-            if r < 1:  # a factor vanishes at the capped precision
-                row.append(None)
-                continue
             v = vpf[n] - vpf[k] - vpf[n - k]
-            row.append(PadicNumber(p, v, res[k] // p**v % p**r, r))
-        rows.append(row + ([one] if n else []))
-    return rows
+            r = target + vpf[k]  # w - head
+            if known is not None:
+                head = max(head, vps[n - k + 1])
+                r = min(r + head, known) - head
+                if r < 1:  # a factor vanishes at the capped precision
+                    row.append(None)
+                    continue
+            row.append((v, res[k] // p**v, r))
+        yield row + [one] if n else row
+
+
+def binomial_triangle(
+    order: int, params: RhoQParams, digits: int | None = None
+) -> list[list[PadicNumber | None]]:
+    """rows[n][k] = rhoq_binomial(n, k, params, digits) for 0 <= k <= n <= order,
+    or None where `pascal_rows` leaves the entry to rhoq_binomial."""
+    p, rows = params.prime, pascal_rows(order, params, digits)
+    return [[e and PadicNumber(p, e[0], e[1] % p ** e[2], e[2]) for e in row] for row in rows]
 
 
 def rhoq_power(

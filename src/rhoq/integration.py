@@ -439,10 +439,10 @@ def values(
     """f(x) for x in xs, read off f's normal form p^-v sum P_b(x) b^x mod p^W.
 
     f is lowered once per call; each value costs a Horner pass per P_b and
-    a power b^x.  Every value is known to digits - deficiency absolute
-    digits.  A residue cannot show that a value is exactly 0, so a zero
-    residue is the bounded zero O(p^known); only a form with no terms (an
-    empty series) gives the exact zero.
+    a power b^x (one product when x follows the point before).  Every value
+    is known to digits - deficiency absolute digits.  A residue cannot show
+    that a value is exactly 0, so a zero residue is the bounded zero
+    O(p^known); only a form with no terms (an empty series) gives the exact zero.
     """
     nf = lower(f, params, digits)
     p, mod = params.prime, params.prime**nf.W
@@ -451,13 +451,17 @@ def values(
     known = digits - nf.deficiency
     zero = PadicNumber.bounded_zero(p, known)  # PrecisionError when no digit is known
     out = []
+    powers = [1] * len(nf.terms)  # b^last per base
+    last = None
     for x in xs:
         r = 0
-        for base, coeffs in nf.terms:
+        for j, (base, coeffs) in enumerate(nf.terms):
             acc = 0
             for c in coeffs:
                 acc = acc * x + c
-            r += acc % mod * pow(base, x, mod)
+            powers[j] = powers[j] * base % mod if last == x - 1 else pow(base, x, mod)
+            r += acc % mod * powers[j]
+        last = x
         z = PadicNumber.from_integer(r % mod, p, known + nf.v)  # p^v f(x), or a zero
         out.append(PadicNumber(p, z.val - nf.v, z.unit, z.digits) if z.unit else zero)
     return out

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class PadicError(Exception):
@@ -402,30 +402,40 @@ def div(x: PadicNumber, y: PadicNumber) -> PadicNumber:
 
 
 def dot(xs: Sequence[PadicNumber], ys: Sequence[PadicNumber]) -> PadicNumber:
-    """Σ x_i * y_i, field for field the fold ``acc = acc + x * y`` from the exact zero,
-    as one integer sum reduced once mod p^A, A the least absolute precision of the
-    products.  The fold knows its partial sum S_i mod p^A_i (A_i: the same over the
-    first i products); like it, this raises PrecisionError at a zero-residue product
-    of valuation <= 0 and at S_i ≡ 0 mod p^A_i with A_i <= 0.  xs must be nonempty.
-    """
+    """Σ x_i * y_i, field for field the fold ``acc = acc + x * y`` from the exact
+    zero, by `sum_terms`.  xs must be nonempty."""
     p = xs[0].prime
-    s, v0, a = 0, None, inf  # the partial sum is p^v0 * s, known mod p^a
+    return sum_terms(p, _products(p, xs, ys))
+
+
+def _products(p: int, xs: Sequence[PadicNumber], ys: Sequence[PadicNumber]) -> Iterator[tuple]:
     for x, y in zip(xs, ys, strict=True):
         if x.prime != p or y.prime != p:
             raise DomainError("prime mismatch in a dot product over Q_%d" % p)
-        if x.val is None or y.val is None:
-            continue  # an exact zero adds nothing
-        v = x.val + y.val
-        if not (x.unit and y.unit):
+        if x.val is not None and y.val is not None:  # an exact zero adds nothing
+            v = x.val + y.val
+            yield v, x.unit * y.unit, v + (x.digits if x.digits < y.digits else y.digits)
+
+
+def sum_terms(p: int, terms: Iterable[tuple[int, int, int]]) -> PadicNumber:
+    """Σ p^v * u over products x * y given as (v, u, b): valuation, unit (not
+    necessarily reduced) and absolute precision; a zero residue, u = 0, is known
+    mod p^v.  Field for field the fold ``acc = acc + x * y`` from the exact zero,
+    as one integer sum reduced once mod p^A, A the least b.  The fold knows its
+    partial sum S_i mod p^A_i (A_i: the same over the first i terms); like it,
+    this raises PrecisionError at a zero-residue term of valuation <= 0 and at
+    S_i ≡ 0 mod p^A_i with A_i <= 0."""
+    s, v0, a = 0, None, inf  # the partial sum is p^v0 * s, known mod p^a
+    for v, u, b in terms:
+        if not u:
             if v <= 0:
                 raise PrecisionError("zero-residue product O(%d^%d) carries no digits" % (p, v))
             a = v if v < a else a
             continue
-        b = v + (x.digits if x.digits < y.digits else y.digits)  # the product's precision
         a = b if b < a else a
         if v0 is None or v < v0:
             s, v0 = s * p ** (v0 - v) if s else 0, v
-        s += x.unit * y.unit * p ** (v - v0)
+        s += u if v == v0 else u * p ** (v - v0)
         if a <= 0 and s % p ** (a - v0) == 0:  # a <= 0 at a nonzero product: v0 < a
             raise PrecisionError("partial sum is zero at working precision O(%d^%d)" % (p, a))
     if a == inf:

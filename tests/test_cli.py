@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import rhoq
 from rhoq.cli import EXIT_ERROR, _build_parser, main
+from rhoq.mahler import MAX_ORDER
 from rhoq.padic import PadicNumber
 
 from .oracles import mahler_forward_substitution, rhoq_binomial_exact
@@ -137,9 +138,13 @@ class TestMalformedInvocation:
         out, err = capsys.readouterr()
         assert (out, err) == ("", "rhoq: error: zero denominator in %r\n" % argv[-1])
 
-    # a size past an index raises OverflowError deep in the run; sizes that fit
-    # an index but cannot be run (--levels 1:1000000000 lists 10^9 levels) stay out
+    # a size past an index raises OverflowError deep in the run, and a Mahler
+    # order past MAX_ORDER is refused before the solve; sizes that fit an index
+    # but cannot be run (--levels 1:1000000000 lists 10^9 levels) stay out
     OVERFLOW_CASES = {
+        "mahler-order": ["mahler", "--function", "x", "--order", HUGE],
+        "mahler-order-11-digits": ["mahler", "--function", "x", "--order", "99999999999"],
+        "mahler-order-past-limit": ["mahler", "--function", "x", "--order", str(MAX_ORDER + 1)],
         "bernoulli-n": ["bernoulli", "--n", HUGE],
         "integrate-levels": ["integrate", "--function", "x", "--levels", "1:" + HUGE],
         "bernoulli-levels": ["bernoulli", "--n", "1", "--levels", "1:" + HUGE],

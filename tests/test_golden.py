@@ -40,6 +40,10 @@ DEEP = Path(__file__).parent / "golden" / "deep_integrals_p5_prec40_levels1-7.js
 # `rhoq audit all` with every option at its default (p = 5, precision 12, levels 1:5, seed 1)
 DEFAULT = Path(__file__).parent / "golden" / "audit_all_default_p5_prec12_levels1-5_seed1.json"
 
+# stdout of a dozen `rhoq mahler` invocations, keyed by their arguments
+MAHLER_CLI = Path(__file__).parent / "golden" / "mahler_cli_p3-5_orders0-30.json"
+MAHLER_RUNS = json.loads(MAHLER_CLI.read_text())
+
 
 def _audit(argv: list[str]) -> bytes:
     """stdout of `rhoq <argv>` in a fresh process, which must exit 0 and print nothing else."""
@@ -82,6 +86,13 @@ def test_thm33_report_past_the_ball_memo_is_byte_identical_to_golden():
     50,421 ball values, more than BALL_MEMO_SIZE."""
     golden = Path(__file__).parent / "golden" / "audit_thm33_p7_prec12_levels1-5_seed1.json"
     assert _audit(["audit", "thm33", "--p", "7", "--levels", "1:5"]) == golden.read_bytes()
+
+
+@pytest.mark.parametrize("invocation", MAHLER_RUNS)
+def test_mahler_output_is_byte_identical_to_golden(invocation, capsys):
+    assert cli.main(invocation.split()) == 0
+    out, err = capsys.readouterr()
+    assert (out.encode(), err) == (MAHLER_RUNS[invocation].encode(), "")
 
 
 REGIMES = {

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from rhoq.integration import (
     values,
 )
 from rhoq.mahler import (
+    MAX_ORDER,
     MahlerSeries,
     difference_quotient_norm_grid,
     lipschitz_norm_grid,
@@ -113,42 +115,70 @@ class TestForwardSubstitutionOracle:
     @pytest.mark.parametrize("regime", ["deformed", "classical", "symmetric", "rational"])
     @pytest.mark.parametrize(
         "f",
+        # [x] and x^2 reach exact-zero and zero-residue coefficients, 1/5 and
+        # 3/25 negative valuations at p = 5
         [const(0), const(7), coordinate(), poly_in_x([1, 0, 0, 2]), bracket_power(2),
-         ratio_exponential(), mixed_power(1, 2)],
+         ratio_exponential(), mixed_power(1, 2), bracket_power(1),
+         poly_in_x([0, 0, 1], label="x^2"), const(Fraction(1, 5)), const(Fraction(3, 25))],
         ids=lambda f: f.describe(),
     )
     def test_digit_for_digit(self, regime, f):
-        for p, order, prec in ((3, 20, 10), (5, 18, 12), (7, 9, 6)):
+        for p, order, prec in ((3, 20, 10), (5, 18, 12), (7, 9, 6), (5, 12, 1), (7, 24, 12)):
             pr = REGIMES[regime](p, prec)
             series = mahler_coefficients(f, order, pr)
             w = prec + vp_factorial(order, p) + 2
             f_values = values(f, pr, range(order + 1), w)
             want = mahler_forward_substitution(f_values, lambda i, n: rhoq_binomial(i, n, pr, w))
-            got = [c.digit_string() for c in series.coefficients]
-            assert got == [c.digit_string() for c in want]
+            assert len(series.coefficients) == len(want)
+            assert all(map(_same, series.coefficients, want)), (p, order, prec)
 
-    @pytest.mark.parametrize("f", [const(0), poly_in_x([0, 1, 1])], ids=lambda f: f.describe())
+    @pytest.mark.parametrize(
+        "f", [const(0), const(7), coordinate(), poly_in_x([0, 1, 1])], ids=lambda f: f.describe()
+    )
     def test_capped_parameters(self, f):
         # entries the triangle leaves to rhoq_binomial are used as before:
-        # the same coefficients, or the same error where a factor is lost
+        # the same coefficients, or the same error where a factor is lost;
+        # at p = 3 a solve through such entries succeeds at known digits 1
+        # (order 3 on) and 2 (order 9 on)
         def outcome(solve):
             try:
-                return [c.digit_string() for c in solve()]
+                return [(c.val, c.unit, c.digits) for c in solve()]
             except PrecisionError as exc:
                 return str(exc)
 
-        for known in (3, 4, 12):
-            pr = RhoQParams.from_residues(3, 4, 7, known)
-            w = known + vp_factorial(30, 3) + 2
-            f_values = values(f, pr, range(31), w)
-            got = outcome(lambda: mahler_coefficients(f, 30, pr).coefficients)
-            want = outcome(
-                lambda: mahler_forward_substitution(f_values, lambda i, n: rhoq_binomial(i, n, pr, w))
-            )
-            assert got == want
+        for p, rho, q in ((3, 4, 7), (5, 6, 11)):
+            for known in (1, 2, 3, 4, 12):
+                pr = RhoQParams.from_residues(p, rho, q, known)
+                for order in (p, p + 1, p * p, 30):
+                    w = known + vp_factorial(order, p) + 2
+                    f_values = values(f, pr, range(order + 1), w)
+                    got = outcome(lambda: mahler_coefficients(f, order, pr).coefficients)
+                    want = outcome(
+                        lambda: mahler_forward_substitution(
+                            f_values, lambda i, n: rhoq_binomial(i, n, pr, w)
+                        )
+                    )
+                    assert got == want, (p, known, order)
 
 
 class TestCoefficients:
+    def test_solve_keeps_one_row(self):
+        # the triangle is read row by row and no number is made per product:
+        # an order-300 solve peaks under 1 MB of traced memory, where the
+        # whole O(M^2) triangle held as numbers takes about 6 MB
+        pr = params(p=5, prec=12)
+        tracemalloc.start()
+        try:
+            mahler_coefficients(ratio_exponential(), 300, pr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_order_past_the_limit_is_refused(self):
+        with pytest.raises(ValueError, match="order must be <= %d" % MAX_ORDER):
+            mahler_coefficients(coordinate(), MAX_ORDER + 1, params())
+
     def test_bracket_is_basis_vector(self):
         pr = params(prec=12)
         series = mahler_coefficients(bracket_power(1), 6, pr)
