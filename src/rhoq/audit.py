@@ -51,7 +51,7 @@ from .measures import (
 from .padic import PadicNumber, PrecisionError, div
 from .sequences import gap_norm
 
-SCHEMA = "rhoq-audit-report/1"
+SCHEMA = "rhoq-audit-report/2"
 
 AUDIT_IDS = ("thm31", "thm32", "thm33", "thm34")
 AUDIT_ALIASES = {

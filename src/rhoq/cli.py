@@ -4,12 +4,17 @@ Exit codes for `audit`: 0 all PASS, 1 any FAIL, 2 any INCONCLUSIVE with no
 FAIL (CI-friendly).  Every command exits 3 with a one-line message on
 stderr when the invocation is malformed or a library error (a PadicError
 or a ValueError) escapes, so neither reads as a FAIL or an INCONCLUSIVE.
-All output is deterministic for a fixed configuration.
+Nor does a crash: when the reader of stdout closes it early
+(`rhoq audit all | head -c 10`) the command ends quietly with status 141,
+as a process killed by SIGPIPE does, and any other uncaught exception
+prints one `rhoq: internal error: ...` line and its traceback on stderr and
+exits 4.  All output is deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import lru_cache
 from typing import NoReturn
@@ -37,6 +42,10 @@ from .padic import PadicError
 
 #: exit status of a malformed invocation or a library error
 EXIT_ERROR = 3
+#: exit status of an uncaught exception: a crash, never an audit verdict
+EXIT_INTERNAL = 4
+#: exit status when stdout is closed early: 128 + SIGPIPE, as a shell reports
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -238,11 +247,25 @@ def _print_csv(payload: dict) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _run(args)
+        status = _run(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return status
     # OverflowError: a parsed size past an index, as in range(10**20) or sorted() of it
     except (PadicError, ValueError, OverflowError) as exc:
         print("rhoq: error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
+    except BrokenPipeError:
+        # Python's documented recipe: stdout goes to devnull, so that the
+        # flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    except Exception as exc:  # the boundary of every command: a crash is not a verdict
+        import traceback  # on this path only: the module costs a quarter MB of RSS
+
+        print("rhoq: internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def _run(args: argparse.Namespace) -> int:

@@ -14,8 +14,8 @@ one moment table per (integrand, step), which does not depend on a: per
 base and level it holds the level sum as a polynomial in the shift a, made
 once from the sums of y^k C^y with C = (b q/rho)^(p^n), so the p^n balls of
 a level share one pass over the points and each ball pays a Horner pass per
-level and a power of the base.  Point values (the Riemann sums, the Mahler
-solve, the grid norms) read the same form, one `values` call per grid.
+level and a power of the base.  Point values (the Mahler solve, the grid
+norms) read the same form, one `values` call per grid.
 A general continuous f reaches the integrals the paper's way, through its
 Mahler expansion: `mahler_coefficients` -> `mahler_function`, a series in
 the Gaussian binomials, which lowers like every other family.
@@ -28,11 +28,14 @@ restriction identity (M = m at parameters lifted by n, times 1/[p^n]).  The
 last two reach the same ball value through different arithmetic, which is
 what makes their cross-check worth running.  The builder takes a sequence
 of shifts, one for an integral or a single ball.  A weighted ball value has
-one maker, `WeightedDistribution._batch` (a ball or a level), and one store,
-`_ball_memo`, shared by every distribution with equal (f, params), one
-parameter pair and a bounded count at a time.  The Riemann sums of the
-integral identity read each level once per report, so the memo only shares
-values across reports.
+one maker, `WeightedDistribution._batch`, and one store, `_ball_memo`,
+shared by every distribution with equal (f, params), one parameter pair and
+a bounded count at a time.
+
+The Riemann sums of the integral identity read no ball value: each is one
+limit over the inner levels of sums of moment sums (`_riemann_terms`), not
+a sum of p^m ball limits.  On a 2-core machine that took thm33 at p = 7
+from 6.5 s to 0.75 s a process (60,190 ball limits before, 60 now).
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .calculus import (
     vp_factorial,
 )
 from .measures import Ball, Distribution, rhoq_haar_measure
-from .padic import DomainError, PadicNumber, PrecisionError, _new, div, dot, vp
+from .padic import DomainError, PadicNumber, PrecisionError, _new, div, vp
 from .sequences import ApproximantSequence, default_target
 
 # ---------------------------------------------------------------------------
@@ -298,7 +301,7 @@ def lower(f: IntegrableFunction, params: RhoQParams, w: int) -> NormalForm:
     return NormalForm(v, W, terms, max(deficiency, 0), ratio)
 
 
-#: points per step of the moment-table fill (bounds its working lists)
+#: points per step of a `_moment_sums` pass (bounds its working lists)
 BLOCK = 1024
 
 #: entries per memo table (the moment tables and the per-level factors); the
@@ -306,9 +309,34 @@ BLOCK = 1024
 #: many pairs must not keep them all.
 MEMO_SIZE = 4096
 
-#: weighted ball values held at once by `_ball_memo`, over all weights: four
-#: times the 11,908 a default `rhoq audit all` holds.
+#: weighted ball values held at once by `_ball_memo`, over all weights; a
+#: default `rhoq audit all` holds 888 and `rhoq audit all --p 7` 1,653.
 BALL_MEMO_SIZE = 48_000
+
+
+def _moment_sums(c: int, count: int, ends: Sequence[int], mod: int) -> Iterator[tuple[int, ...]]:
+    """Per end in ends (increasing), the sums over y < end of y^k c^y mod `mod`
+    for k < count, in one pass over y < ends[-1].
+
+    The points run through in blocks of BLOCK: each block adds up the exact
+    products c^y y^k, and the sums are reduced mod `mod` at the ends only.
+    """
+    powers = [1]  # c^j for j < BLOCK
+    for _ in range(min(BLOCK, ends[-1]) - 1):
+        powers.append(powers[-1] * c % mod)
+    sums, e, start = [0] * count, 1, 0  # e = c^start
+    for end in ends:
+        for lo in range(start, end, BLOCK):
+            ys = range(lo, min(lo + BLOCK, end))
+            terms = [e * x for x in powers[: len(ys)]]  # c^y y^k over ys, k = 0, 1, ...
+            sums[0] += sum(terms)
+            for k in range(1, count):
+                terms = list(map(mul, terms, ys))
+                sums[k] += sum(terms)
+            e = e * pow(c, len(ys), mod) % mod
+        start = end
+        sums = [x % mod for x in sums]
+        yield tuple(sums)  # the list goes on adding up
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -327,40 +355,27 @@ def _moment_table(
 
     Nothing here depends on a progression's shift, so every ball of a level
     reads its sums off one table: a shift costs one Horner pass per level and
-    one power B^a.  One pass over y < p^max_level adds up the exact products
-    C^y y^k and reduces mod p^W at the level ends only.
+    one power B^a.  The T_m come from one `_moment_sums` pass over
+    y < p^max_level.
     """
     nf = lower(f, params, w)
     params.require_digits(w)
     p, mod = params.prime, params.prime**nf.W
+    ends = [p**m for m in range(max_level + 1)]
     tables = []
     for base, coeffs in nf.terms:
         if not any(coeffs):  # the zero form: every sum vanishes
             tables.append((1, ()))
             continue
         B = base * nf.ratio % mod
-        c = pow(B, step, mod)
-        powers = [1]  # C^j for j < BLOCK: the points run through in blocks
-        for _ in range(min(BLOCK, p**max_level) - 1):
-            powers.append(powers[-1] * c % mod)
         # taylor[k][i] = binom(i + k, k) step^k c_(i+k), with c lowest degree first
         low = coeffs[::-1]
         taylor, sk = [], 1
         for k in range(len(low)):
             taylor.append([comb(i + k, k) * sk * low[i + k] % mod for i in range(len(low) - k)])
             sk = sk * step % mod
-        sums, rows, e, start = [0] * len(low), [], 1, 0  # e = C^start
-        for end in (p**m for m in range(max_level + 1)):
-            for lo in range(start, end, BLOCK):
-                ys = range(lo, min(lo + BLOCK, end))
-                terms = [e * x for x in powers[: len(ys)]]  # C^y y^k over ys, k = 0, 1, ...
-                sums[0] += sum(terms)
-                for k in range(1, len(sums)):
-                    terms = list(map(mul, terms, ys))
-                    sums[k] += sum(terms)
-                e = e * pow(c, len(ys), mod) % mod
-            start = end
-            sums = [x % mod for x in sums]
+        rows = []
+        for sums in _moment_sums(pow(B, step, mod), len(low), ends, mod):
             shifted = [0] * len(low)
             for t, row in zip(sums, taylor):
                 for i, x in enumerate(row):
@@ -638,21 +653,9 @@ class WeightedDistribution(Distribution):
         hit = self._memo.get(ball)
         return hit if hit is not None else self._batch(ball.level, [ball.rep])[0]
 
-    def level_values(self, level: int) -> list[PadicNumber]:
-        """value(a + p^level Z_p) for a = 0..p^level - 1: the balls not in
-        the memo are made in one batch."""
-        p = self.params.prime
-        out = [self._memo.get(Ball(p, a, level)) for a in range(p**level)]
-        missing = [a for a, v in enumerate(out) if v is None]
-        for a, v in zip(missing, self._batch(level, missing)):
-            out[a] = v
-        return out
-
-    def _batch(self, level: int, reps: list[int]) -> list[PadicNumber]:
+    def _batch(self, level: int, reps: Sequence[int]) -> list[PadicNumber]:
         """The values of the balls a + p^level Z_p, a in reps, off one
         `_level_batch`, memoized unless they alone pass BALL_MEMO_SIZE."""
-        if not reps:  # a level the memo holds looks nothing up
-            return []
         p, d = self.params.prime, self.digits
         batch = _level_batch(self.f, self.params, WEIGHTED_LEVELS, d, reps, level, lifted=True)
         out = [ApproximantSequence.build(p, t, default_target(d)).limit_estimate() for t in batch]
@@ -770,38 +773,128 @@ def integral_against_weighted(
 
     P, the parameters and the precision are those of each distribution (its
     `f`, `params` and `digits`); the distributions share their parameters.
-    Each outer level is read once: every weight's ball values
-    (`WeightedDistribution.level_values`) and every g grid, so the ball memo
-    only shares values across reports.  Returns both sequences and the
-    fitted lhs/rhs ratio; whether that ratio is independent of g is for the
-    caller (the audit battery) to decide.
+    Each Riemann sum is one limit of the sums `_riemann_terms` makes, not a
+    sum of ball values.  Returns both sequences and the fitted lhs/rhs
+    ratio; whether that ratio is independent of g is for the caller (the
+    audit battery) to decide.
     """
-    params, d = weights[0].params, weights[0].digits
+    params = weights[0].params
     if any(weighted.params != params for weighted in weights):
         raise ValueError("the weighted distributions must share their parameters")
-    p = params.prime
     outer_levels = sorted(outer_levels)
-    terms = [[[] for _ in weights] for _ in gs]
-    for m in outer_levels:
-        balls = [weighted.level_values(m) for weighted in weights]
-        for g, per_weight in zip(gs, terms):
-            grid = values(g, params, range(p**m), d + m + 2)
-            for vs, out in zip(balls, per_weight):
-                out.append((m, dot(grid, vs)))
+    if not outer_levels or outer_levels[0] < 1:  # as the integrals of gP refuse them
+        raise ValueError("levels must be >= 1")
+    terms = _riemann_terms(gs, weights, outer_levels)
     return [
         [_comparison(g, w, t, outer_levels) for w, t in zip(weights, per_weight)]
         for g, per_weight in zip(gs, terms)
     ]
 
 
+def _riemann_terms(
+    gs: Sequence[IntegrableFunction],
+    weights: Sequence[WeightedDistribution],
+    outer: list[int],
+) -> list[list[list[list[tuple[int, PadicNumber]]]]]:
+    """Per g, weight and m in outer, the terms (M, sum over a < p^m of
+    g(a) T_m,M(a)) for M in WEIGHTED_LEVELS.  Their limit is the Riemann sum
+    R_m = sum over a < p^m of g(a) mu_P(a + p^m Z_p): the sum over a is
+    finite, so it commutes with the limit over M.
+
+    T_m,M(a) is ball a's level-M term in `_level_batch` (n = m, lifted):
+    F_m,M p^-v sum_b B_b^a r_b,M(a), F from `_level_factors` and r_b,M a row
+    of P's moment table at step p^m.  With g lowered once to
+    p^-v_g sum_c Q_c(a) c^a, the sum over a is
+
+        F_m,M p^-(v + v_g) sum over (b, c) and k of [Q_c r_b,M]_k U_k(m),
+
+    U_k(m) = sum over a < p^m of a^k (c B_b)^a.  The U come from one
+    `_moment_sums` pass per base c B_b over a < p^max(outer), read at each
+    level end.  A sum is known to the digits of g over |P| <= p^v and to
+    those of the level sums over |g| <= p^v_g.
+    """
+    params = weights[0].params
+    p, top, depth = params.prime, outer[-1], WEIGHTED_LEVELS[-1]
+    levels = tuple(WEIGHTED_LEVELS)
+    # per weight and m, what `_level_batch` reads for the balls of level m
+    reads = []
+    for weighted in weights:
+        for m in outer:
+            w = weighted.digits + m + depth + 1
+            nf, tables = _moment_table(weighted.f, params, w, p**m, depth)
+            known = w - nf.deficiency
+            reads.append((m, nf, tables, known, _level_factors(params, levels, m, known, True)))
+    # g to the digits of the deepest level sums, plus the p^v that |P| may reach
+    w_g = max(weighted.digits for weighted in weights) + top + depth + 1
+    w_g += max(nf.v for _, nf, *_ in reads)
+    sums, needs = [], {}  # needs: (base mod p^K, K) -> the moments it needs
+    for g in gs:
+        form = lower(g, params, w_g)
+        for m, nf, tables, known, factors in reads:
+            K = min(form.W, nf.W)
+            parts = []
+            for c, Q in form.terms:
+                for B, rows in tables:
+                    if rows:  # the zero form of P has none
+                        key = c * B % p**K, K
+                        needs[key] = max(needs.get(key, 0), len(Q) + len(rows[0]) - 1)
+                        parts.append((key, Q[::-1], rows))
+            shift = nf.v + form.v
+            digits = min(w_g - form.deficiency - nf.v, known - form.v, K - shift)
+            sums.append((m, parts, factors, shift, digits, bool(form.terms)))
+    # a pass serves every base congruent to its own mod p^K: made deepest K
+    # first, the pass of a base serves every K at or below the base's
+    served: dict[tuple[int, int], int] = {}
+    counts: dict[int, int] = {}
+    for (C, K), n in sorted(needs.items(), key=lambda item: -item[0][1]):
+        base = next((b for b in counts if b % p**K == C), C)
+        served[C, K], counts[base] = base, max(counts.get(base, 0), n)
+    mod = p ** max((K for _, K in needs), default=1)
+    ends = [p**m for m in range(top + 1)]
+    moments = {b: list(_moment_sums(b, n, ends, mod)) for b, n in counts.items()}
+
+    out, zero = [], PadicNumber.exact_zero(p)
+    for m, parts, factors, shift, digits, nonzero in sums:
+        xs = [0] * len(levels)
+        for key, low, rows in parts:
+            U = moments[served[key]][m]
+            # sum_k [Q r]_k U_k = sum_j r_j QU_j with QU_j = sum_i Q_i U_(i+j)
+            QU = [sum(map(mul, low, U[j:])) for j in range(len(rows[0]))]
+            for i, M in enumerate(levels):
+                xs[i] += sum(map(mul, reversed(rows[M]), QU))
+        # an empty series g is the exact zero, as its values are
+        out.append([
+            (M, factor * _scaled(x, p, shift, digits) if nonzero else zero)
+            for M, factor, x in zip(levels, factors, xs)
+        ])
+    per_level = iter(out)
+    return [[[next(per_level) for _ in outer] for _ in weights] for _ in gs]
+
+
+def _scaled(x: int, p: int, shift: int, digits: int) -> PadicNumber:
+    """p^-shift x for an integer x known mod p^(digits + shift)."""
+    if digits + shift < 1:  # not even x mod p is known
+        raise PrecisionError("Riemann sum known to no digit")
+    x %= p ** (digits + shift)
+    if not x:
+        return PadicNumber.bounded_zero(p, digits)
+    e = vp(x, p)
+    return _new(p, e - shift, x // p**e, digits + shift - e)
+
+
 def _comparison(
     g: IntegrableFunction, weighted: WeightedDistribution, terms: list, outer_levels: list[int]
 ) -> IntegralComparison:
-    """The comparison of g against one weight, from its Riemann sums."""
+    """The comparison of g against one weight, from the terms of its Riemann
+    sums: one ApproximantSequence per outer level takes R_m's limit."""
     params, d = weighted.params, weighted.digits
-    p = params.prime
+    p, target = params.prime, default_target(d)
+    sums = [
+        (m, ApproximantSequence.build(p, t, target).limit_estimate())
+        for m, t in zip(outer_levels, terms)
+    ]
     label = "Riemann sums of %s against weighted measure" % g.describe()
-    lhs = ApproximantSequence.build(p, terms, default_target(d), note=label)
+    lhs = ApproximantSequence.build(p, sums, target, note=label)
     rhs = volkenborn_integral(product(g, weighted.f), params, outer_levels, digits=d)
     ratio = None
     note = ""

@@ -1,6 +1,7 @@
 """The command line: one parser for every call, and a distinct exit code for
-library errors."""
+library errors, for a closed stdout and for a crash."""
 
+import fcntl
 import io
 import json
 import os
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rhoq
+from rhoq import cli
 from rhoq.cli import EXIT_ERROR, _build_parser, main
 from rhoq.mahler import MAX_ORDER
 from rhoq.padic import PadicNumber
@@ -96,6 +98,39 @@ class TestErrorExit:
         code, out, err = fresh_process(self.ARGV)
         assert code == 3 and out == ""
         assert err.splitlines() == ["rhoq: error: parameters only known to 12 digits; 14 requested"]
+
+    @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="pipe capacity is set on Linux")
+    def test_closed_stdout_ends_quietly_with_141(self):
+        """`rhoq audit all | head -c 10`: the reader closes after 10 bytes.  The
+        pipe holds one page, less than the report, so the writer is still
+        writing when the reader closes, whatever the timing."""
+        env = dict(os.environ, PYTHONPATH=str(Path(rhoq.__file__).resolve().parents[1]))
+        read_end, write_end = os.pipe()
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+        with subprocess.Popen(
+            [sys.executable, "-m", "rhoq.cli", "audit", "all"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            os.close(write_end)
+            head = os.read(read_end, 10)
+            os.close(read_end)
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert head.startswith(b"{")
+        assert (code, err) == (141, b"")
+
+    def test_internal_error_exits_4_with_its_traceback(self, monkeypatch, capsys):
+        def crash(*args, **kwargs):
+            raise RuntimeError("an engine bug")
+
+        monkeypatch.setattr(cli, "run_audits", crash)
+        assert main(["audit", "all"]) == cli.EXIT_INTERNAL == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0] == "rhoq: internal error: RuntimeError: an engine bug"
+        assert lines[1] == "Traceback (most recent call last):"
+        assert lines[-1] == "RuntimeError: an engine bug"
 
 
 class TestMalformedInvocation:

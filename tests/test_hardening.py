@@ -151,12 +151,12 @@ class TestBallMemo:
         def held():
             return sum(map(len, _ball_memo(pr).values()))
 
-        assert len(d.level_values(2)) == 9 and held() == 9
+        assert len(d._batch(2, range(9))) == 9 and held() == 9
         d.value(Ball(3, 0, 1))
         assert held() == 10
         d.value(Ball(3, 1, 1))  # the memo is full: emptied, then this one kept
         assert held() == 1
-        batch = d.level_values(3)  # 27 values, more than the memo holds
+        batch = d._batch(3, range(27))  # 27 values, more than the memo holds
         assert held() <= 10
         assert batch == [d._value(Ball(3, a, 3)) for a in range(27)]
 

@@ -395,3 +395,9 @@ class TestIntegralIdentity:
         assert len(ratios) >= 2
         for r in ratios[1:]:
             assert r.agrees(ratios[0], 3)
+
+    def test_levels_below_one_are_refused(self):
+        weighted = WeightedDistribution(bracket_power(1), params(prec=12))
+        for outer in ([], [0, 1, 2]):
+            with pytest.raises(ValueError, match="levels must be >= 1"):
+                integral_against_weighted([const(1)], [weighted], outer)

@@ -5,16 +5,18 @@ included; one process that reads many progressions off the shared
 moment tables; the tables' shift polynomials at shifts past the step and
 past the levels; the folded per-level factors against the chain of products
 and divisions they replace; a whole level of weighted ball values in one
-batch against the single-ball route; the moment-table lookups of one
-thm33 report, on a cold and on a warm ball memo; and the ball values its
-level batches make on a ball memo smaller than its Riemann sums."""
+batch against the single-ball route; the terms of thm33's Riemann sums
+against the sums of ball terms they replace and against exact Fraction
+sums; the moment-table lookups of one thm33 report, on a cold and on a
+warm ball memo; and its integral identity, which reads each level once,
+makes no ball value and prints the same bytes on a small ball memo."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rhoq import cli, integration
+from rhoq import audit, cli, integration
 from rhoq.calculus import RhoQParams, rhoq_integer
 from rhoq.integration import (
     WEIGHTED_LEVELS,
@@ -22,8 +24,10 @@ from rhoq.integration import (
     _ball_memo,
     _level_batch,
     _moment_table,
+    _riemann_terms,
     bracket_power,
     const,
+    coordinate,
     exponential,
     linear_combination,
     mahler_function,
@@ -32,12 +36,21 @@ from rhoq.integration import (
     product,
     progression_sums,
     ratio_exponential,
+    values,
     weighted_measure_sequence,
 )
 from rhoq.measures import Ball
-from rhoq.padic import PadicNumber, div
+from rhoq.padic import PadicNumber, div, dot
 
-from .oracles import bracket, progression_partial_sums, rat_mod, rhoq_binomial_exact
+from .oracles import (
+    bracket,
+    function_value,
+    haar_value,
+    progression_partial_sums,
+    rat_mod,
+    rat_vp,
+    rhoq_binomial_exact,
+)
 
 
 @st.composite
@@ -214,15 +227,18 @@ def test_shift_polynomials_at_large_shifts(p, step_power):
         assert progression_sums(f, params, levels, a, step, w) == (want, 0)
 
 
-@pytest.mark.parametrize("regime", ["deformed", "classical", "rho=q"])
+REGIMES = {"deformed": (1, 2), "classical": (0, 0), "rho=q": (1, 1)}
+
+
+@pytest.mark.parametrize("regime", list(REGIMES))
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_level_batch_matches_single_balls(p, regime):
-    """`level_values` against `weighted_measure_sequence(...).limit_estimate()`
-    field for field, on every ball of levels 1..3; one ball is read through
-    `value` before its level's batch and one after, and the batch keeps the
-    first and serves the second from the memo."""
-    offsets = {"deformed": (1, 2), "classical": (0, 0), "rho=q": (1, 1)}[regime]
-    params = RhoQParams.from_offsets(p, *offsets, 8)
+    """A whole level of balls from one `_batch` against
+    `weighted_measure_sequence(...).limit_estimate()` field for field, on
+    every ball of levels 1..3; one ball is read through `value` before its
+    level's batch and one after, and the memo serves the second from the
+    batch."""
+    params = RhoQParams.from_offsets(p, *REGIMES[regime], 8)
     weights = (
         bracket_power(3),
         poly_in_x([0, 0, 0, 1]),
@@ -238,29 +254,102 @@ def test_level_batch_matches_single_balls(p, regime):
     for f in weights:
         dist = WeightedDistribution(f, params)
         before = dist.value(Ball(p, 1, 2))
-        for m in (1, 2, 3):
-            batch = dist.level_values(m)
+        levels = {m: dist._batch(m, range(p**m)) for m in (1, 2, 3)}
+        for m, batch in levels.items():
             assert len(batch) == p**m
             for a, v in enumerate(batch):
                 single = weighted_measure_sequence(
                     f, params, Ball(p, a, m), WEIGHTED_LEVELS, digits=params.precision
                 ).limit_estimate()
                 assert fields(v) == fields(single), (f.describe(), a, m)
-        assert dist.level_values(2)[1] is before
+        assert fields(levels[2][1]) == fields(before)
         after = Ball(p, p + 2, 3)
-        assert dist.value(after) is dist.level_values(3)[p + 2]
+        assert dist.value(after) is levels[3][p + 2]
         if f == const(0):
-            assert all(v.is_zero_residue and not v.is_exact_zero for v in dist.level_values(3))
+            assert all(v.is_zero_residue and not v.is_exact_zero for v in levels[3])
+
+
+#: thm33's g battery and weights
+THM33_GS = [const(1), coordinate(), poly_in_x([0, 0, 1], label="x^2"), ratio_exponential()]
+THM33_WEIGHTS = [bracket_power(k) for k in (1, 2, 3)]
+
+
+def _gs(p):
+    """thm33's g battery and a g with p in a denominator, of negative valuation."""
+    return THM33_GS + [poly_in_x([1, Fraction(2, p)], label="1 + 2x/p")]
+
+
+@pytest.mark.parametrize("regime", list(REGIMES))
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_riemann_terms_match_the_sums_of_ball_terms(p, regime):
+    """Each term sum_a g(a) T_m,M(a) of a Riemann sum against the sum it
+    replaces, `dot` of g's values with the level-M terms of the p^m balls
+    from `_level_batch`: equal residue for residue to the precision of the
+    less precise of the two, and the new term never the less precise.  The
+    ball terms keep the relative digits of each product, so on a level
+    whose terms cancel the new one can know a digit more; the Fraction
+    test below checks those digits."""
+    params = RhoQParams.from_offsets(p, *REGIMES[regime], 8)
+    weights = [WeightedDistribution(f, params) for f in THM33_WEIGHTS]
+    outer = [1, 2]
+    gs = _gs(p)
+    terms = _riemann_terms(gs, weights, outer)
+    for g, per_weight in zip(gs, terms):
+        for weighted, per_level in zip(weights, per_weight):
+            for m, inner in zip(outer, per_level):
+                balls = list(
+                    _level_batch(
+                        weighted.f, params, WEIGHTED_LEVELS, weighted.digits, range(p**m), m,
+                        lifted=True,
+                    )
+                )
+                grid = values(g, params, range(p**m), weighted.digits + 30)
+                assert [M for M, _ in inner] == list(WEIGHTED_LEVELS)
+                for i, (M, new) in enumerate(inner):
+                    old = dot(grid, [ball[i][1] for ball in balls])
+                    case = (g.describe(), weighted.f.describe(), m, M)
+                    assert (new - old).is_zero_residue, case
+                    assert new.abs_precision >= old.abs_precision, case
+
+
+@pytest.mark.parametrize("regime", list(REGIMES))
+def test_riemann_terms_match_exact_sums(regime):
+    """At p = 3, each term of levels M = 1..3 against the exact rational
+    rho^(p^(m+M))/[p^(m+M)] sum over x < p^(m+M) of g(x mod p^m) P(x)
+    (q/rho)^x, to every digit the term claims: the factor 1/[p^m] times the
+    lifted rho'^(p^M)/[p^M]' is the Haar value of p^(m+M) Z_p."""
+    p = 3
+    params = RhoQParams.from_offsets(p, *REGIMES[regime], 8)
+    rho, q = params.rho_base, params.q_base
+    t = q / rho
+    weights = [WeightedDistribution(f, params) for f in THM33_WEIGHTS]
+    outer = [1, 2]
+    gs = _gs(p)
+    terms = _riemann_terms(gs, weights, outer)
+    for g, per_weight in zip(gs, terms):
+        for weighted, per_level in zip(weights, per_weight):
+            for m, inner in zip(outer, per_level):
+                for M, new in inner[:3]:
+                    x_max = p ** (m + M)
+                    s = sum(
+                        function_value(g, rho, q, x % p**m) * function_value(weighted.f, rho, q, x)
+                        * t**x
+                        for x in range(x_max)
+                    )
+                    exact = haar_value(0, m + M, rho, q, p) * s
+                    got = Fraction(new.unit) * Fraction(p) ** new.val if new.unit else 0
+                    gap = exact - got
+                    assert gap == 0 or rat_vp(gap, p) >= new.abs_precision, (
+                        g.describe(), weighted.f.describe(), m, M
+                    )
 
 
 def test_moment_table_lookups_of_one_thm33_report(capsys):
-    """The moment-table lookups of `audit thm33 --p 3 --levels 1:5 --tol 5`:
-    one per level fill of each weight (3 x 5), one per integral of gP (12)
-    and one per single ball: those that k = 1's invariance and density
-    checks read before the fills, and the level-6 balls of every density
-    extraction.  A lookup per Riemann-sum ball, as before the level
-    batches, makes 1,123.  Both tables are cleared first: ball values that
-    an earlier report left in the ball memo make fewer lookups."""
+    """The moment-table lookups of `audit thm33 --p 3 --levels 1:5 --tol 5`
+    on cold tables: 250, of which its integral identity makes 27 (see the
+    next test) and the single balls of the invariance and density checks
+    the rest.  Both tables are cleared first: ball values that an earlier
+    report left in the ball memo make fewer lookups."""
     argv = ["audit", "thm33", "--p", "3", "--levels", "1:5", "--tol", "5"]
 
     def lookups():
@@ -270,41 +359,56 @@ def test_moment_table_lookups_of_one_thm33_report(capsys):
     _moment_table.cache_clear()
     _ball_memo.cache_clear()
     assert cli.main(argv) == 0
-    assert lookups() == 114
-    # a second report at the same parameters, at another seed, reads every
-    # ball value off the memo the first left; what remains is its 12
-    # integrals of gP and the 4 Bernoulli-type integrals of the side reports
+    assert lookups() == 250
+    # the same report again reads every ball value off the memo the first
+    # left; what remains is the 27 lookups of its integral identity, which
+    # reads no ball value, and the 4 Bernoulli-type integrals of the side
+    # reports
     before = lookups()
-    assert cli.main(argv + ["--seed", "7"]) == 0
+    assert cli.main(argv) == 0
     capsys.readouterr()
-    assert lookups() - before == 16
+    assert lookups() - before == 31
 
 
 def test_one_thm33_report_reads_each_level_once(monkeypatch, capsys):
-    """`audit thm33 --p 3 --levels 1:5 --tol 5` on a ball memo bounded at
-    500 values, fewer than the 1,089 its Riemann sums read: its level batches
-    make as many balls as at the default bound, 1,022 (the rest were made
-    before the Riemann sums), and it prints the same bytes.  A report that
-    read every level once per g, on a memo emptied between the reads, made
-    4,289."""
+    """`audit thm33 --p 3 --levels 1:5 --tol 5` on cold tables: its integral
+    identity (`integral_against_weighted`) reads each level once, as one
+    moment table per (weight, outer level), 3 x 5, and one per integral of
+    gP, 12, and makes no `WeightedDistribution` ball value.  On a ball memo
+    bounded at 500 values the report prints the same bytes."""
     argv = ["audit", "thm33", "--p", "3", "--levels", "1:5", "--tol", "5"]
-    made = []
-    level_values = WeightedDistribution.level_values
+    batches = []
+    batch = WeightedDistribution._batch
 
-    def counted(self, level):
-        p = self.params.prime
-        made.append(sum(Ball(p, a, level) not in self._memo for a in range(p**level)))
-        return level_values(self, level)
+    def counted(self, level, reps):
+        batches.append(len(reps))
+        return batch(self, level, reps)
 
-    monkeypatch.setattr(WeightedDistribution, "level_values", counted)
+    def lookups():
+        info = _moment_table.cache_info()
+        return info.hits + info.misses
+
+    identity = audit.integral_against_weighted
+    inside = []
+
+    def measured(*args):
+        made, looked_up = len(batches), lookups()
+        out = identity(*args)
+        inside.append((len(batches) - made, lookups() - looked_up))
+        return out
+
+    monkeypatch.setattr(WeightedDistribution, "_batch", counted)
+    monkeypatch.setattr(audit, "integral_against_weighted", measured)
 
     def report():
-        made.clear()
+        inside.clear()
+        _moment_table.cache_clear()
         _ball_memo.cache_clear()
         assert cli.main(argv) == 0
-        return capsys.readouterr().out, sum(made)
+        return capsys.readouterr().out
 
     at_default = report()
-    assert at_default[1] == 1022
+    assert inside == [(0, 27)]
     monkeypatch.setattr(integration, "BALL_MEMO_SIZE", 500)
     assert report() == at_default
+    assert inside == [(0, 27)]
