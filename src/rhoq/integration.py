@@ -20,22 +20,28 @@ A general continuous f reaches the integrals the paper's way, through its
 Mahler expansion: `mahler_coefficients` -> `mahler_function`, a series in
 the Gaussian binomials, which lowers like every other family.
 
-The integral and the weighted ball values are one quantity,
+The integral and the level terms of a weighted ball value are one quantity,
 rho^(p^M)/[p^M] * sum f(x) (q/rho)^x over x = a + p^n y, y < p^m, and one
 builder (`_level_batch`) forms it for all three: the plain integral
 (a = n = 0, M = m), the direct restricted sums (M = n + m), and the
 restriction identity (M = m at parameters lifted by n, times 1/[p^n]).  The
 last two reach the same ball value through different arithmetic, which is
-what makes their cross-check worth running.  The builder takes a sequence
-of shifts, one for an integral or a single ball.  A weighted ball value has
-one maker, `WeightedDistribution._batch`, and one store, `_ball_memo`,
-shared by every distribution with equal (f, params), one parameter pair and
-a bounded count at a time.
+what makes thm32's cross-check worth running.  `_level_batch` takes a
+sequence of shifts, one for an integral or a single ball.
 
-The Riemann sums of the integral identity read no ball value: each is one
-limit over the inner levels of sums of moment sums (`_riemann_terms`), not
-a sum of p^m ball limits.  On a 2-core machine that took thm33 at p = 7
-from 6.5 s to 0.75 s a process (60,190 ball limits before, 60 now).
+A `WeightedDistribution` takes no limit over levels: `rhoq.limits` holds
+the exact limit of the restriction identity per (weight, params, digits,
+level) as one row per base, a polynomial in the shift made by the same
+Taylor step as the moment tables (`_taylor`, `_shift_row`) from the
+Volkenborn moments in closed form, and a ball is one Horner pass per base
+and one power of it.  A weighted ball value has one maker,
+`WeightedDistribution._batch`, and one store, `_ball_memo`, shared by every
+distribution with equal (f, params), one parameter pair and a bounded count
+at a time.  thm33's Riemann sums R_m = sum over a < p^m of g(a) mu_P(a +
+p^m Z_p) read the same rows and no ball value: each is one exact finite sum
+of moment sums (`limits.riemann_sums`).  On a 2-core machine that took
+`rhoq audit all --p 7` from 0.8-1.0 s to 0.5 s a process and `--p 11` from
+4.0-4.7 s to 2.5-3.1 s.
 """
 
 from __future__ import annotations
@@ -304,13 +310,14 @@ def lower(f: IntegrableFunction, params: RhoQParams, w: int) -> NormalForm:
 #: points per step of a `_moment_sums` pass (bounds its working lists)
 BLOCK = 1024
 
-#: entries per memo table (the moment tables and the per-level factors); the
-#: tables are keyed by the parameter pair, so a long-lived process that sees
-#: many pairs must not keep them all.
+#: entries per memo table (the moment tables, the per-level factors and the
+#: limit tables of `rhoq.limits`); the tables are keyed by the parameter
+#: pair, so a long-lived process that sees many pairs must not keep them all.
 MEMO_SIZE = 4096
 
-#: weighted ball values held at once by `_ball_memo`, over all weights; a
-#: default `rhoq audit all` holds 888 and `rhoq audit all --p 7` 1,653.
+#: weighted ball values held at once by `_ball_memo`, over all weights; after
+#: a default `rhoq audit all` it holds 888, after `rhoq audit all --p 7`
+#: 1,653, and after the benchmark's p = 3 report 359.
 BALL_MEMO_SIZE = 48_000
 
 
@@ -368,21 +375,33 @@ def _moment_table(
             tables.append((1, ()))
             continue
         B = base * nf.ratio % mod
-        # taylor[k][i] = binom(i + k, k) step^k c_(i+k), with c lowest degree first
-        low = coeffs[::-1]
-        taylor, sk = [], 1
-        for k in range(len(low)):
-            taylor.append([comb(i + k, k) * sk * low[i + k] % mod for i in range(len(low) - k)])
-            sk = sk * step % mod
-        rows = []
-        for sums in _moment_sums(pow(B, step, mod), len(low), ends, mod):
-            shifted = [0] * len(low)
-            for t, row in zip(sums, taylor):
-                for i, x in enumerate(row):
-                    shifted[i] += t * x
-            rows.append(tuple(x % mod for x in reversed(shifted)))
-        tables.append((B, tuple(rows)))
+        taylor = _taylor(coeffs, step, mod)
+        sums = _moment_sums(pow(B, step, mod), len(coeffs), ends, mod)
+        tables.append((B, tuple(_shift_row(taylor, t, mod) for t in sums)))
     return nf, tuple(tables)
+
+
+def _taylor(coeffs: tuple[int, ...], step: int, mod: int) -> list[list[int]]:
+    """taylor[k][i] = binom(i + k, k) step^k c_(i+k) mod `mod`, c_j the
+    coefficients of P (given highest degree first): the coefficient of
+    y^k a^i in P(a + step y)."""
+    low = coeffs[::-1]
+    taylor, sk = [], 1
+    for k in range(len(low)):
+        taylor.append([comb(i + k, k) * sk * low[i + k] % mod for i in range(len(low) - k)])
+        sk = sk * step % mod
+    return taylor
+
+
+def _shift_row(taylor: list[list[int]], moments: Sequence[int], mod: int) -> tuple[int, ...]:
+    """sum_k moments[k] taylor[k] mod `mod`: with moments[k] the sum (or the
+    limit) of y^k C^y, the same of P(a + step y) C^y as a polynomial in the
+    shift a, highest degree first."""
+    shifted = [0] * len(taylor)
+    for t, row in zip(moments, taylor):
+        for i, x in enumerate(row):
+            shifted[i] += t * x
+    return tuple(x % mod for x in reversed(shifted))
 
 
 def _progression_batch(
@@ -618,7 +637,8 @@ def weighted_measure_direct(
     return ApproximantSequence.build(params.prime, terms, default_target(d), note=note)
 
 
-#: the inner levels of a weighted-family ball value
+#: thm32's inner-level window for the restriction identity and the direct
+#: sums; a `WeightedDistribution`'s ball values take no limit over levels
 WEIGHTED_LEVELS = range(1, 6)
 
 
@@ -629,8 +649,8 @@ def _ball_memo(params: RhoQParams) -> dict[IntegrableFunction, dict[Ball, PadicN
 
 
 class WeightedDistribution(Distribution):
-    """The f-weighted family as a Distribution: ball values, the limit
-    estimates of the restriction identity over WEIGHTED_LEVELS, memoized in
+    """The f-weighted family as a Distribution: ball values, the exact limits
+    of the restriction identity (`limits.ball_values`), memoized in
     `_ball_memo(params)[f]`, which every instance with equal (f, params) shares
     (f and params hashed once per instance).  A new pair or `cache_clear()` drops
     the memo (an older instance keeps its dict); BALL_MEMO_SIZE bounds it."""
@@ -653,12 +673,28 @@ class WeightedDistribution(Distribution):
         hit = self._memo.get(ball)
         return hit if hit is not None else self._batch(ball.level, [ball.rep])[0]
 
+    def values(self, balls: Sequence[Ball]) -> list[PadicNumber]:
+        """The balls not in the memo are made by one `_batch` per level."""
+        found, missing = {}, {}
+        for ball in balls:
+            hit = self._memo.get(ball)
+            if hit is None:
+                missing.setdefault(ball.level, {})[ball.rep] = None
+            else:
+                found[ball] = hit
+        p = self.params.prime
+        for level, reps in missing.items():
+            made = self._batch(level, list(reps))
+            found.update(zip((Ball(p, a, level) for a in reps), made))
+        return [found[ball] for ball in balls]
+
     def _batch(self, level: int, reps: Sequence[int]) -> list[PadicNumber]:
-        """The values of the balls a + p^level Z_p, a in reps, off one
-        `_level_batch`, memoized unless they alone pass BALL_MEMO_SIZE."""
-        p, d = self.params.prime, self.digits
-        batch = _level_batch(self.f, self.params, WEIGHTED_LEVELS, d, reps, level, lifted=True)
-        out = [ApproximantSequence.build(p, t, default_target(d)).limit_estimate() for t in batch]
+        """The values of the balls a + p^level Z_p, a in reps, off one limit
+        table, memoized unless they alone pass BALL_MEMO_SIZE."""
+        from .limits import ball_values  # it imports this module
+
+        p = self.params.prime
+        out = ball_values(self.f, self.params, level, reps, self.digits)
         self._make_room(len(reps))
         if len(reps) <= BALL_MEMO_SIZE:
             self._memo.update(zip((Ball(p, a, level) for a in reps), out))
@@ -773,7 +809,7 @@ def integral_against_weighted(
 
     P, the parameters and the precision are those of each distribution (its
     `f`, `params` and `digits`); the distributions share their parameters.
-    Each Riemann sum is one limit of the sums `_riemann_terms` makes, not a
+    Each Riemann sum is one exact finite sum (`limits.riemann_sums`), not a
     sum of ball values.  Returns both sequences and the fitted lhs/rhs
     ratio; whether that ratio is independent of g is for the caller (the
     audit battery) to decide.
@@ -784,117 +820,27 @@ def integral_against_weighted(
     outer_levels = sorted(outer_levels)
     if not outer_levels or outer_levels[0] < 1:  # as the integrals of gP refuse them
         raise ValueError("levels must be >= 1")
-    terms = _riemann_terms(gs, weights, outer_levels)
+    from .limits import riemann_sums  # it imports this module
+
+    sums = riemann_sums(gs, weights, outer_levels)
     return [
-        [_comparison(g, w, t, outer_levels) for w, t in zip(weights, per_weight)]
-        for g, per_weight in zip(gs, terms)
+        [_comparison(g, w, s, outer_levels) for w, s in zip(weights, per_weight)]
+        for g, per_weight in zip(gs, sums)
     ]
-
-
-def _riemann_terms(
-    gs: Sequence[IntegrableFunction],
-    weights: Sequence[WeightedDistribution],
-    outer: list[int],
-) -> list[list[list[list[tuple[int, PadicNumber]]]]]:
-    """Per g, weight and m in outer, the terms (M, sum over a < p^m of
-    g(a) T_m,M(a)) for M in WEIGHTED_LEVELS.  Their limit is the Riemann sum
-    R_m = sum over a < p^m of g(a) mu_P(a + p^m Z_p): the sum over a is
-    finite, so it commutes with the limit over M.
-
-    T_m,M(a) is ball a's level-M term in `_level_batch` (n = m, lifted):
-    F_m,M p^-v sum_b B_b^a r_b,M(a), F from `_level_factors` and r_b,M a row
-    of P's moment table at step p^m.  With g lowered once to
-    p^-v_g sum_c Q_c(a) c^a, the sum over a is
-
-        F_m,M p^-(v + v_g) sum over (b, c) and k of [Q_c r_b,M]_k U_k(m),
-
-    U_k(m) = sum over a < p^m of a^k (c B_b)^a.  The U come from one
-    `_moment_sums` pass per base c B_b over a < p^max(outer), read at each
-    level end.  A sum is known to the digits of g over |P| <= p^v and to
-    those of the level sums over |g| <= p^v_g.
-    """
-    params = weights[0].params
-    p, top, depth = params.prime, outer[-1], WEIGHTED_LEVELS[-1]
-    levels = tuple(WEIGHTED_LEVELS)
-    # per weight and m, what `_level_batch` reads for the balls of level m
-    reads = []
-    for weighted in weights:
-        for m in outer:
-            w = weighted.digits + m + depth + 1
-            nf, tables = _moment_table(weighted.f, params, w, p**m, depth)
-            known = w - nf.deficiency
-            reads.append((m, nf, tables, known, _level_factors(params, levels, m, known, True)))
-    # g to the digits of the deepest level sums, plus the p^v that |P| may reach
-    w_g = max(weighted.digits for weighted in weights) + top + depth + 1
-    w_g += max(nf.v for _, nf, *_ in reads)
-    sums, needs = [], {}  # needs: (base mod p^K, K) -> the moments it needs
-    for g in gs:
-        form = lower(g, params, w_g)
-        for m, nf, tables, known, factors in reads:
-            K = min(form.W, nf.W)
-            parts = []
-            for c, Q in form.terms:
-                for B, rows in tables:
-                    if rows:  # the zero form of P has none
-                        key = c * B % p**K, K
-                        needs[key] = max(needs.get(key, 0), len(Q) + len(rows[0]) - 1)
-                        parts.append((key, Q[::-1], rows))
-            shift = nf.v + form.v
-            digits = min(w_g - form.deficiency - nf.v, known - form.v, K - shift)
-            sums.append((m, parts, factors, shift, digits, bool(form.terms)))
-    # a pass serves every base congruent to its own mod p^K: made deepest K
-    # first, the pass of a base serves every K at or below the base's
-    served: dict[tuple[int, int], int] = {}
-    counts: dict[int, int] = {}
-    for (C, K), n in sorted(needs.items(), key=lambda item: -item[0][1]):
-        base = next((b for b in counts if b % p**K == C), C)
-        served[C, K], counts[base] = base, max(counts.get(base, 0), n)
-    mod = p ** max((K for _, K in needs), default=1)
-    ends = [p**m for m in range(top + 1)]
-    moments = {b: list(_moment_sums(b, n, ends, mod)) for b, n in counts.items()}
-
-    out, zero = [], PadicNumber.exact_zero(p)
-    for m, parts, factors, shift, digits, nonzero in sums:
-        xs = [0] * len(levels)
-        for key, low, rows in parts:
-            U = moments[served[key]][m]
-            # sum_k [Q r]_k U_k = sum_j r_j QU_j with QU_j = sum_i Q_i U_(i+j)
-            QU = [sum(map(mul, low, U[j:])) for j in range(len(rows[0]))]
-            for i, M in enumerate(levels):
-                xs[i] += sum(map(mul, reversed(rows[M]), QU))
-        # an empty series g is the exact zero, as its values are
-        out.append([
-            (M, factor * _scaled(x, p, shift, digits) if nonzero else zero)
-            for M, factor, x in zip(levels, factors, xs)
-        ])
-    per_level = iter(out)
-    return [[[next(per_level) for _ in outer] for _ in weights] for _ in gs]
-
-
-def _scaled(x: int, p: int, shift: int, digits: int) -> PadicNumber:
-    """p^-shift x for an integer x known mod p^(digits + shift)."""
-    if digits + shift < 1:  # not even x mod p is known
-        raise PrecisionError("Riemann sum known to no digit")
-    x %= p ** (digits + shift)
-    if not x:
-        return PadicNumber.bounded_zero(p, digits)
-    e = vp(x, p)
-    return _new(p, e - shift, x // p**e, digits + shift - e)
 
 
 def _comparison(
-    g: IntegrableFunction, weighted: WeightedDistribution, terms: list, outer_levels: list[int]
+    g: IntegrableFunction,
+    weighted: WeightedDistribution,
+    sums: list[PadicNumber],
+    outer_levels: list[int],
 ) -> IntegralComparison:
-    """The comparison of g against one weight, from the terms of its Riemann
-    sums: one ApproximantSequence per outer level takes R_m's limit."""
+    """The comparison of g against one weight, from its exact Riemann sums
+    R_m, one per outer level."""
     params, d = weighted.params, weighted.digits
-    p, target = params.prime, default_target(d)
-    sums = [
-        (m, ApproximantSequence.build(p, t, target).limit_estimate())
-        for m, t in zip(outer_levels, terms)
-    ]
+    p = params.prime
     label = "Riemann sums of %s against weighted measure" % g.describe()
-    lhs = ApproximantSequence.build(p, sums, target, note=label)
+    lhs = ApproximantSequence.build(p, list(zip(outer_levels, sums)), default_target(d), note=label)
     rhs = volkenborn_integral(product(g, weighted.f), params, outer_levels, digits=d)
     ratio = None
     note = ""

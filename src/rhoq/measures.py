@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .calculus import RhoQParams, rhoq_integer
 from .padic import PadicNumber, dot, padic_from_integer, vp
-from .sequences import ApproximantSequence, default_target, gap_norm
+from .sequences import ApproximantSequence, default_target
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,6 +79,11 @@ class Distribution:
 
     def value(self, ball: Ball) -> PadicNumber:
         return self._value(ball)
+
+    def values(self, balls: Sequence[Ball]) -> list[PadicNumber]:
+        """value(ball) for each ball, in order; a family that makes a level's
+        balls together reads them in one batch per level."""
+        return [self.value(ball) for ball in balls]
 
     def _value(self, ball: Ball) -> PadicNumber:
         raise NotImplementedError
@@ -251,22 +256,25 @@ def check_invariance(
     params = dist.params
     p = params.prime
     sample_points = default_sample_points(p, levels[0], levels[-1] + 1, seed)
+    read = sorted({*levels, *(N + 1 for N in levels)})
+    balls = [Ball(p, x, N) for N in read for x in sample_points]
+    values = dict(zip(balls, dist.values(balls)))
 
+    # the sups are taken on integer exponents: |d| = p^-ν(d), 0 for a zero residue
     deltas: list[Fraction] = []
     c_table: list[Fraction] = []
     for N in levels:
-        worst = Fraction(0)
-        worst_c = Fraction(0)
+        scale_lo, scale_hi = dist._scale(N), dist._scale(N + 1)
+        e_delta = e_c = None
         for x in sample_points:
-            b_lo = Ball(p, x, N)
-            b_hi = Ball(p, x, N + 1)
-            d = dist.rescaled(b_lo) - dist.rescaled(b_hi)
-            worst = max(worst, gap_norm(d))
-            v = dist.value(b_lo)
-            if not v.is_zero_residue:
-                worst_c = max(worst_c, v.norm() * Fraction(1, p**N))
-        deltas.append(worst)
-        c_table.append(worst_c)
+            v = values[Ball(p, x, N)]
+            d = scale_lo * v - scale_hi * values[Ball(p, x, N + 1)]
+            if d.unit and (e_delta is None or d.val < e_delta):
+                e_delta = d.val
+            if v.unit and (e_c is None or v.val < e_c):
+                e_c = v.val
+        deltas.append(Fraction(0) if e_delta is None else Fraction(p) ** -e_delta)
+        c_table.append(Fraction(0) if e_c is None else Fraction(p) ** -(e_c + N))
 
     weakly = _decays(deltas, p)
     one_adm = _decays(c_table, p)
@@ -353,7 +361,8 @@ def radon_nikodym_derivative(
         raise ValueError("x must be a nonnegative integer")
     p = dist.params.prime
     t = target_exponent if target_exponent is not None else default_target(dist.digits)
-    terms = [(N, dist.rescaled(Ball(p, x, N))) for N in sorted(levels)]
+    balls = [Ball(p, x, N) for N in sorted(levels)]
+    terms = [(b.level, dist._scale(b.level) * v) for b, v in zip(balls, dist.values(balls))]
     return ApproximantSequence.build(p, terms, t, note="rescaled ball values at x=%d" % x)
 
 

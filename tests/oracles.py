@@ -7,13 +7,20 @@ so agreement between the two paths is meaningful.  The two exceptions are
 earlier versions of package code, handed the package's values:
 `mahler_forward_substitution`, the earlier Mahler solve, only adds and
 multiplies them, and `lipschitz_fraction_loop`, the earlier Lipschitz sup,
-only subtracts them and takes norms.
+only subtracts them and takes norms.  The weighted ball values come from the
+benchmark's closed forms (`perfbench/oracles.py`, which imports nothing from
+the package either).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
+
+from perfbench import oracles as bench
+
+Approx = bench.Approx
 
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -223,6 +230,14 @@ def progression_partial_sums(
     return out
 
 
+def _exact(c) -> Fraction:
+    """A coefficient of the integrand tree as a rational: a p-adic one counts as
+    the rational p^val * unit it carries (0 for either zero)."""
+    if hasattr(c, "unit"):
+        return Fraction(c.unit) * Fraction(c.prime) ** c.val if c.unit else Fraction(0)
+    return Fraction(c)
+
+
 def function_value(f, rho: Fraction, q: Fraction, x: int) -> Fraction:
     """f(x) exactly, read straight off the integrand tree's definitions.
 
@@ -230,22 +245,16 @@ def function_value(f, rho: Fraction, q: Fraction, x: int) -> Fraction:
     p^val * unit it carries (0 for either zero).
     """
     rho, q = Fraction(rho), Fraction(q)
-
-    def exact(c) -> Fraction:
-        if hasattr(c, "unit"):
-            return Fraction(c.unit) * Fraction(c.prime) ** c.val if c.unit else Fraction(0)
-        return Fraction(c)
-
     if f.tag == "poly_x":
-        return sum((exact(c) * x**i for i, c in enumerate(f.coeffs)), Fraction(0))
+        return sum((_exact(c) * x**i for i, c in enumerate(f.coeffs)), Fraction(0))
     if f.tag == "poly_bracket":
         b = bracket(x, rho, q)
-        return sum((exact(c) * b**i for i, c in enumerate(f.coeffs)), Fraction(0))
+        return sum((_exact(c) * b**i for i, c in enumerate(f.coeffs)), Fraction(0))
     if f.tag == "exponential":
         c, i, j = f.coeffs
         return Fraction(c) ** x * rho ** (i * x) * q ** (j * x)
     if f.tag == "mahler":
-        terms = (exact(c) * rhoq_binomial_exact(x, m, rho, q) for m, c in enumerate(f.coeffs))
+        terms = (_exact(c) * rhoq_binomial_exact(x, m, rho, q) for m, c in enumerate(f.coeffs))
         return sum(terms, Fraction(0))
     if f.tag == "product":
         acc = Fraction(1)
@@ -253,6 +262,91 @@ def function_value(f, rho: Fraction, q: Fraction, x: int) -> Fraction:
             acc *= function_value(part, rho, q, x)
         return acc
     if f.tag == "sum":
-        parts = (exact(c) * function_value(g, rho, q, x) for c, g in zip(f.coeffs, f.parts))
+        parts = (_exact(c) * function_value(g, rho, q, x) for c, g in zip(f.coeffs, f.parts))
         return sum(parts, Fraction(0))
     raise ValueError("unknown tag %r" % f.tag)
+
+
+def exp_poly(f, rho: Fraction, q: Fraction) -> dict:
+    """f as the benchmark oracles' exponential polynomial {(k, b): c}, the sum
+    of c x^k b^x, read off the integrand tree as `function_value` reads it."""
+    rho, q = Fraction(rho), Fraction(q)
+    one = Fraction(1)
+
+    def series(coeffs, basis) -> dict:
+        out: dict = {}
+        for m, c in enumerate(coeffs):
+            out = bench.ep_add(out, basis(m), one, _exact(c))
+        return out
+
+    if f.tag == "poly_x":
+        return series(f.coeffs, lambda m: {(m, one): one})
+    if f.tag == "poly_bracket":
+        return series(f.coeffs, lambda m: bench.ep_pow(bench.ep_bracket_shift(0, rho, q), m))
+    if f.tag == "mahler":
+        def binomial(m):
+            out = {(0, one): 1 / bench.bracket_factorial(m, rho, q)}
+            for j in range(m):
+                out = bench.ep_mul(out, bench.ep_bracket_shift(j, rho, q))
+            return out
+        return series(f.coeffs, binomial)
+    if f.tag == "exponential":
+        c, i, j = f.coeffs
+        return {(0, Fraction(c) * rho**i * q**j): one}
+    if f.tag == "product":
+        out = {(0, one): one}
+        for part in f.parts:
+            out = bench.ep_mul(out, exp_poly(part, rho, q))
+        return out
+    if f.tag == "sum":
+        out = {}
+        for c, part in zip(f.coeffs, f.parts):
+            out = bench.ep_add(out, exp_poly(part, rho, q), one, _exact(c))
+        return out
+    raise ValueError("unknown tag %r" % f.tag)
+
+
+def weighted_ball(f, p: int, rho: Fraction, q: Fraction, a: int, n: int, prec: int) -> bench.Approx:
+    """mu_f(a + p^n Z_p), known mod p^prec: the restriction identity in closed
+    form, (q/rho)^a / [p^n] times the integral of y -> f(a + p^n y) at
+    (rho^(p^n), q^(p^n)) by `perfbench/oracles.limit_value`."""
+    rho, q = Fraction(rho), Fraction(q)
+    step = p**n
+    restricted: dict = {}
+    for (k, b), c in exp_poly(f, rho, q).items():
+        head, base = c * b**a, b**step
+        for i in range(k + 1):
+            key = (i, base)
+            restricted[key] = restricted.get(key, 0) + head * comb(k, i) * Fraction(a) ** (k - i) * step**i
+    restricted = {key: c for key, c in restricted.items() if c}
+    work = prec + 2 * n + 4
+    integral = bench.limit_value(restricted, p, rho**step, q**step, work)
+    # the Haar value rho^(p^n)/[p^n] (q/rho)^a over rho^(p^n)
+    haar = bench.haar_ball(p, a, n, rho, q, work) / bench.unit_power(p, rho, step, work)
+    out = integral * haar
+    return bench.Approx(p, out.val, min(out.prec, prec))
+
+
+def as_approx(v) -> Approx:
+    """A PadicNumber (read through its fields) as the oracles' Approx: the
+    rational it carries, mod p^abs_precision; an Approx as it is."""
+    if not hasattr(v, "unit"):
+        return v
+    if v.unit:
+        return Approx(v.prime, Fraction(v.unit) * Fraction(v.prime) ** v.val, v.abs_precision)
+    return Approx(v.prime, 0, v.val if v.val is not None else 10**9)
+
+
+def claims_hold(v, exact: Approx) -> bool:
+    """Every digit v claims is a digit of the exact value, which must be
+    known to at least as many."""
+    got = as_approx(v)
+    assert exact.prec >= got.prec, "the oracle knows too few digits"
+    return got.agreement(exact) >= got.prec
+
+
+def one_digit_more(v, exact: Approx) -> Approx:
+    """v claiming one digit more than it does, a wrong one: the exact value
+    with its digit at v's absolute precision moved by one."""
+    A = as_approx(v).prec
+    return Approx(exact.p, exact.val + Fraction(exact.p) ** A, A + 1)

@@ -5,11 +5,12 @@ included; one process that reads many progressions off the shared
 moment tables; the tables' shift polynomials at shifts past the step and
 past the levels; the folded per-level factors against the chain of products
 and divisions they replace; a whole level of weighted ball values in one
-batch against the single-ball route; the terms of thm33's Riemann sums
-against the sums of ball terms they replace and against exact Fraction
-sums; the moment-table lookups of one thm33 report, on a cold and on a
-warm ball memo; and its integral identity, which reads each level once,
-makes no ball value and prints the same bytes on a small ball memo."""
+batch against single balls and the restriction identity's limit estimates;
+thm33's exact Riemann sums against the sums of ball values they stand for
+and against Fraction sums of closed-form ball values; the table lookups of
+one thm33 report, on a cold and on a warm ball memo; and its integral
+identity, which reads each level once, makes no ball value and prints the
+same bytes on a small ball memo."""
 
 from fractions import Fraction
 
@@ -24,7 +25,6 @@ from rhoq.integration import (
     _ball_memo,
     _level_batch,
     _moment_table,
-    _riemann_terms,
     bracket_power,
     const,
     coordinate,
@@ -39,17 +39,20 @@ from rhoq.integration import (
     values,
     weighted_measure_sequence,
 )
+from rhoq.limits import _limit_table, ball_values, riemann_sums
 from rhoq.measures import Ball
 from rhoq.padic import PadicNumber, div, dot
 
 from .oracles import (
+    Approx,
     bracket,
+    claims_hold,
     function_value,
-    haar_value,
+    one_digit_more,
     progression_partial_sums,
     rat_mod,
-    rat_vp,
     rhoq_binomial_exact,
+    weighted_ball,
 )
 
 
@@ -233,12 +236,14 @@ REGIMES = {"deformed": (1, 2), "classical": (0, 0), "rho=q": (1, 1)}
 @pytest.mark.parametrize("regime", list(REGIMES))
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_level_batch_matches_single_balls(p, regime):
-    """A whole level of balls from one `_batch` against
-    `weighted_measure_sequence(...).limit_estimate()` field for field, on
-    every ball of levels 1..3; one ball is read through `value` before its
-    level's batch and one after, and the memo serves the second from the
-    batch."""
+    """A whole level of balls from one `_batch` against `ball_values` one
+    ball at a time, field for field, and against the restriction identity's
+    limit estimate (`weighted_measure_sequence`), to the digits it
+    certifies, on every ball of levels 1..3; one ball is read through
+    `value` before its level's batch and one after, and the memo serves the
+    second from the batch."""
     params = RhoQParams.from_offsets(p, *REGIMES[regime], 8)
+    d = params.precision
     weights = (
         bracket_power(3),
         poly_in_x([0, 0, 0, 1]),
@@ -258,10 +263,11 @@ def test_level_batch_matches_single_balls(p, regime):
         for m, batch in levels.items():
             assert len(batch) == p**m
             for a, v in enumerate(batch):
-                single = weighted_measure_sequence(
-                    f, params, Ball(p, a, m), WEIGHTED_LEVELS, digits=params.precision
-                ).limit_estimate()
-                assert fields(v) == fields(single), (f.describe(), a, m)
+                case = (f.describe(), a, m)
+                assert fields(v) == fields(ball_values(f, params, m, [a], d)[0]), case
+                seq = weighted_measure_sequence(f, params, Ball(p, a, m), WEIGHTED_LEVELS, digits=d)
+                if seq.best_certified is not None:
+                    assert v.agrees(seq.limit_estimate(), seq.best_certified), case
         assert fields(levels[2][1]) == fields(before)
         after = Ball(p, p + 2, 3)
         assert dist.value(after) is levels[3][p + 2]
@@ -282,100 +288,94 @@ def _gs(p):
 @pytest.mark.parametrize("regime", list(REGIMES))
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_riemann_terms_match_the_sums_of_ball_terms(p, regime):
-    """Each term sum_a g(a) T_m,M(a) of a Riemann sum against the sum it
-    replaces, `dot` of g's values with the level-M terms of the p^m balls
-    from `_level_batch`: equal residue for residue to the precision of the
-    less precise of the two, and the new term never the less precise.  The
-    ball terms keep the relative digits of each product, so on a level
-    whose terms cancel the new one can know a digit more; the Fraction
-    test below checks those digits."""
+    """Each Riemann sum R_m against the sum it stands for, `dot` of g's
+    values with the p^m ball values of level m from one `_batch`: equal
+    residue for residue to the precision of the less precise of the two,
+    and R_m never the less precise."""
     params = RhoQParams.from_offsets(p, *REGIMES[regime], 8)
     weights = [WeightedDistribution(f, params) for f in THM33_WEIGHTS]
     outer = [1, 2]
     gs = _gs(p)
-    terms = _riemann_terms(gs, weights, outer)
-    for g, per_weight in zip(gs, terms):
+    sums = riemann_sums(gs, weights, outer)
+    for g, per_weight in zip(gs, sums):
         for weighted, per_level in zip(weights, per_weight):
-            for m, inner in zip(outer, per_level):
-                balls = list(
-                    _level_batch(
-                        weighted.f, params, WEIGHTED_LEVELS, weighted.digits, range(p**m), m,
-                        lifted=True,
-                    )
-                )
+            for m, new in zip(outer, per_level):
                 grid = values(g, params, range(p**m), weighted.digits + 30)
-                assert [M for M, _ in inner] == list(WEIGHTED_LEVELS)
-                for i, (M, new) in enumerate(inner):
-                    old = dot(grid, [ball[i][1] for ball in balls])
-                    case = (g.describe(), weighted.f.describe(), m, M)
-                    assert (new - old).is_zero_residue, case
-                    assert new.abs_precision >= old.abs_precision, case
+                old = dot(grid, weighted._batch(m, range(p**m)))
+                case = (g.describe(), weighted.f.describe(), m)
+                assert (new - old).is_zero_residue, case
+                assert new.abs_precision >= old.abs_precision, case
 
 
 @pytest.mark.parametrize("regime", list(REGIMES))
 def test_riemann_terms_match_exact_sums(regime):
-    """At p = 3, each term of levels M = 1..3 against the exact rational
-    rho^(p^(m+M))/[p^(m+M)] sum over x < p^(m+M) of g(x mod p^m) P(x)
-    (q/rho)^x, to every digit the term claims: the factor 1/[p^m] times the
-    lifted rho'^(p^M)/[p^M]' is the Haar value of p^(m+M) Z_p."""
-    p = 3
-    params = RhoQParams.from_offsets(p, *REGIMES[regime], 8)
-    rho, q = params.rho_base, params.q_base
-    t = q / rho
-    weights = [WeightedDistribution(f, params) for f in THM33_WEIGHTS]
-    outer = [1, 2]
-    gs = _gs(p)
-    terms = _riemann_terms(gs, weights, outer)
-    for g, per_weight in zip(gs, terms):
-        for weighted, per_level in zip(weights, per_weight):
-            for m, inner in zip(outer, per_level):
-                for M, new in inner[:3]:
-                    x_max = p ** (m + M)
-                    s = sum(
-                        function_value(g, rho, q, x % p**m) * function_value(weighted.f, rho, q, x)
-                        * t**x
-                        for x in range(x_max)
+    """At p = 3, 5 and 7, each Riemann sum R_m against the Fraction sum over
+    a < p^m of g(a) times the closed-form ball value (`oracles.weighted_ball`,
+    from `perfbench/oracles.limit_value` at the lifted parameters), to every
+    digit R_m claims; R_m claims digits + 1, one fewer for the g of valuation
+    -1.  The same R_m claiming one wrong digit more fails the comparison."""
+    for p in (3, 5, 7):
+        params = RhoQParams.from_offsets(p, *REGIMES[regime], 8)
+        rho, q, d = params.rho_base, params.q_base, params.precision
+        weights = [WeightedDistribution(f, params) for f in THM33_WEIGHTS]
+        outer = [1, 2] if p < 7 else [1]
+        gs = _gs(p)
+        sums = riemann_sums(gs, weights, outer)
+        balls = {
+            (f, m): [weighted_ball(f, p, rho, q, a, m, d + 4) for a in range(p**m)]
+            for f in THM33_WEIGHTS
+            for m in outer
+        }
+        for g, per_weight in zip(gs, sums):
+            grid = [function_value(g, rho, q, a) for a in range(p ** outer[-1])]
+            for weighted, per_level in zip(weights, per_weight):
+                for m, r in zip(outer, per_level):
+                    case = (p, g.describe(), weighted.f.describe(), m)
+                    assert r.abs_precision == d + 1 - (g.describe() == "1 + 2x/p"), case
+                    exact = sum(
+                        (ball.scale(x) for ball, x in zip(balls[weighted.f, m], grid)),
+                        start=Approx(p, 0, 10**9),
                     )
-                    exact = haar_value(0, m + M, rho, q, p) * s
-                    got = Fraction(new.unit) * Fraction(p) ** new.val if new.unit else 0
-                    gap = exact - got
-                    assert gap == 0 or rat_vp(gap, p) >= new.abs_precision, (
-                        g.describe(), weighted.f.describe(), m, M
-                    )
+                    assert claims_hold(r, exact), case
+                    assert not claims_hold(one_digit_more(r, exact), exact), case
+
+
+def _lookups() -> int:
+    """Lookups of the moment tables and the limit tables so far."""
+    return sum(t.cache_info().hits + t.cache_info().misses for t in (_moment_table, _limit_table))
 
 
 def test_moment_table_lookups_of_one_thm33_report(capsys):
-    """The moment-table lookups of `audit thm33 --p 3 --levels 1:5 --tol 5`
-    on cold tables: 250, of which its integral identity makes 27 (see the
-    next test) and the single balls of the invariance and density checks
-    the rest.  Both tables are cleared first: ball values that an earlier
-    report left in the ball memo make fewer lookups."""
+    """The moment- and limit-table lookups of `audit thm33 --p 3 --levels
+    1:5 --tol 5` on cold tables: 91, one per level batch of ball values and
+    one per integral.  Its integral identity makes 27 (see the next test),
+    the invariance checks 12 (levels 1..4 of each weight, one batch a level),
+    the density extractions 48 (16 batches a weight: six points, each read
+    in one call, of which the balls not already made come one batch a level)
+    and the 4 Bernoulli-type integrals of the side reports the rest.  All
+    three tables are cleared first: ball values that an earlier report left
+    in the ball memo make fewer lookups."""
     argv = ["audit", "thm33", "--p", "3", "--levels", "1:5", "--tol", "5"]
-
-    def lookups():
-        info = _moment_table.cache_info()
-        return info.hits + info.misses
-
     _moment_table.cache_clear()
+    _limit_table.cache_clear()
     _ball_memo.cache_clear()
     assert cli.main(argv) == 0
-    assert lookups() == 250
+    assert _lookups() == 91
     # the same report again reads every ball value off the memo the first
     # left; what remains is the 27 lookups of its integral identity, which
-    # reads no ball value, and the 4 Bernoulli-type integrals of the side
-    # reports
-    before = lookups()
+    # reads no ball value, and the 4 Bernoulli-type integrals
+    before = _lookups()
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert lookups() - before == 31
+    assert _lookups() - before == 31
 
 
 def test_one_thm33_report_reads_each_level_once(monkeypatch, capsys):
     """`audit thm33 --p 3 --levels 1:5 --tol 5` on cold tables: its integral
     identity (`integral_against_weighted`) reads each level once, as one
-    moment table per (weight, outer level), 3 x 5, and one per integral of
-    gP, 12, and makes no `WeightedDistribution` ball value.  On a ball memo
-    bounded at 500 values the report prints the same bytes."""
+    limit table per (weight, outer level), 3 x 5, and one moment table per
+    integral of gP, 12, and makes no `WeightedDistribution` ball value.  On
+    a ball memo bounded at 500 values the report prints the same bytes."""
     argv = ["audit", "thm33", "--p", "3", "--levels", "1:5", "--tol", "5"]
     batches = []
     batch = WeightedDistribution._batch
@@ -385,8 +385,7 @@ def test_one_thm33_report_reads_each_level_once(monkeypatch, capsys):
         return batch(self, level, reps)
 
     def lookups():
-        info = _moment_table.cache_info()
-        return info.hits + info.misses
+        return tuple(t.cache_info().hits + t.cache_info().misses for t in (_limit_table, _moment_table))
 
     identity = audit.integral_against_weighted
     inside = []
@@ -394,7 +393,7 @@ def test_one_thm33_report_reads_each_level_once(monkeypatch, capsys):
     def measured(*args):
         made, looked_up = len(batches), lookups()
         out = identity(*args)
-        inside.append((len(batches) - made, lookups() - looked_up))
+        inside.append((len(batches) - made, *(b - a for a, b in zip(looked_up, lookups()))))
         return out
 
     monkeypatch.setattr(WeightedDistribution, "_batch", counted)
@@ -403,12 +402,13 @@ def test_one_thm33_report_reads_each_level_once(monkeypatch, capsys):
     def report():
         inside.clear()
         _moment_table.cache_clear()
+        _limit_table.cache_clear()
         _ball_memo.cache_clear()
         assert cli.main(argv) == 0
         return capsys.readouterr().out
 
     at_default = report()
-    assert inside == [(0, 27)]
+    assert inside == [(0, 15, 12)]
     monkeypatch.setattr(integration, "BALL_MEMO_SIZE", 500)
     assert report() == at_default
-    assert inside == [(0, 27)]
+    assert inside == [(0, 15, 12)]

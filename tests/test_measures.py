@@ -9,6 +9,7 @@ from rhoq.calculus import RhoQParams, rhoq_integer, rhoq_power
 from rhoq.integration import (
     WEIGHTED_LEVELS,
     WeightedDistribution,
+    _ball_memo,
     bracket_power,
     weighted_measure_sequence,
 )
@@ -25,6 +26,7 @@ from rhoq.measures import (
     radon_nikodym_derivative,
     rhoq_haar_measure,
 )
+from rhoq.limits import ball_values
 from rhoq.padic import PadicNumber, padic_from_fraction, padic_from_integer
 
 from .oracles import haar_value, lipschitz_fraction_loop, rat_mod
@@ -255,8 +257,8 @@ def _direct_value(name: str, pr: RhoQParams, ball: Ball) -> PadicNumber:
     p, d, N = pr.prime, pr.precision, ball.level
     if name == "haar":
         return rhoq_haar_measure(ball, pr, d)
-    if name == "weighted":
-        return weighted_measure_sequence(bracket_power(2), pr, ball, WEIGHTED_LEVELS, digits=d).limit_estimate()
+    if name == "weighted":  # the closed form of the restriction identity, this ball alone
+        return ball_values(bracket_power(2), pr, N, [ball.rep], d)[0]
     if name == "density":
         return _density(p)(ball.rep) * rhoq_haar_measure(Ball(p, 0, N), pr, d + N)
     acc = PadicNumber.exact_zero(p)
@@ -273,11 +275,14 @@ class TestPerLevelTables:
         for name, dist in _per_level_distributions(pr).items():
             for N in self.LEVELS:
                 scale = rhoq_integer(3**N, pr, 10 + N)
-                for a in range(3**N):
-                    ball = Ball(3, a, N)
+                balls = [Ball(3, a, N) for a in range(3**N)]
+                for ball, batched in zip(balls, dist.values(balls)):
                     direct = _direct_value(name, pr, ball)
-                    assert dist.value(ball) == direct, (name, ball)
+                    assert dist.value(ball) == direct == batched, (name, ball)
                     assert dist.rescaled(ball) == scale * direct, (name, ball)
+                    if name == "weighted":  # an independent route to the same limit
+                        seq = weighted_measure_sequence(bracket_power(2), pr, ball, WEIGHTED_LEVELS, digits=10)
+                        assert direct.agrees(seq.limit_estimate(), seq.best_certified), ball
 
     def test_one_bracket_per_level_quantity(self, monkeypatch):
         # rescaled's [p^N] is made once per (distribution, level); so is the
@@ -294,6 +299,43 @@ class TestPerLevelTables:
                     dist.rescaled(Ball(3, a, N))
                     dist.value(Ball(3, a, N))
                 assert len(calls) == per_level[name], (name, N)
+
+
+class TestValues:
+    """`values` reads many balls in one call: a weighted distribution makes
+    the balls its memo lacks with one `_batch` per level, and the invariance
+    check and the density extraction read all of theirs through one call."""
+
+    def test_weighted_values_make_one_batch_per_level(self, monkeypatch):
+        pr = params(p=3, prec=10)
+        _ball_memo.cache_clear()
+        dist = WeightedDistribution(bracket_power(2), pr)
+        dist.value(Ball(3, 1, 2))  # already in the memo
+        calls = []
+        batch = WeightedDistribution._batch
+
+        def counted(self, level, reps):
+            calls.append((level, list(reps)))
+            return batch(self, level, reps)
+
+        monkeypatch.setattr(WeightedDistribution, "_batch", counted)
+        balls = [Ball(3, a, N) for N in (3, 1, 2) for a in range(3**N)] + [Ball(3, 4, 2)]
+        got = dist.values(balls)
+        assert calls == [(3, list(range(27))), (1, [0, 1, 2]), (2, [0, *range(2, 9)])]
+        _ball_memo.cache_clear()
+        fresh = WeightedDistribution(bracket_power(2), pr)
+        assert got == [fresh.value(ball) for ball in balls]
+
+    @pytest.mark.parametrize("family", ["haar", "weighted"])
+    def test_checks_read_their_balls_in_one_call(self, family):
+        pr = params(p=3, prec=10)
+        dist = RhoQHaar(pr) if family == "haar" else WeightedDistribution(bracket_power(1), pr)
+        calls = []
+        read = dist.values
+        dist.values = lambda balls: calls.append(len(balls)) or read(balls)
+        check_invariance(dist, range(1, 4))
+        radon_nikodym_derivative(dist, 5, range(1, 6))
+        assert len(calls) == 2
 
 
 class TestNoBallStore:

@@ -6,15 +6,14 @@ keeps the digits it had.  Each test runs `audit thm33 --p 3 --levels 1:5
 their verdict on the honest engine to FAIL; every other check keeps its
 verdict.  The integral identity (iii) reads no ball value, so the mutants
 of the ball layer reach it only through the density constant that (ii)
-hands it; the mutant of the weight's lifted level sums reaches its Riemann
-sums.
+hands it; the mutant of the weight's limit rows reaches its Riemann sums.
 """
 
 import json
 
 import pytest
 
-from rhoq import cli, integration
+from rhoq import cli, integration, limits
 from rhoq.integration import WeightedDistribution, _ball_memo
 from rhoq.padic import PadicNumber
 
@@ -69,27 +68,23 @@ def weight_twist(monkeypatch) -> None:
 
 
 def level_sum_leak(monkeypatch) -> None:
-    """The weight's level sums at steps p^n > 1 gain p^(M + 2) at every
-    shift a of base B (p^(M + 2 + v) before the division by p^v): mu_P gains
-    a multiple of a measure that P does not weight.  The sums grow with M as
-    [p^M] does, so the ball values and the Riemann sums still converge."""
-    table = integration._moment_table
+    """The weight's limit rows gain p^(v + 3) in their constant coefficient:
+    mu_P(a + p^n Z_p) gains p^(2 - n) sum_b B_b^a over the bases B_b of P's
+    normal form, a multiple of a measure that P does not weight.  As
+    [p^n] p^(2 - n) converges, the rescaled ball values still converge, and
+    the Riemann sums, which read the same rows, still do."""
+    table = limits._limit_table
 
-    def mutant(f, params, w, step, max_level):
-        nf, tables = table(f, params, w, step, max_level)
-        if step == 1:
-            return nf, tables
+    def mutant(f, params, w, n):
+        nf, tables = table(f, params, w, n)
         p, mod = params.prime, params.prime**nf.W
-        leaked = []
-        for B, rows in tables:
-            rows = tuple(
-                row[:-1] + ((row[-1] + p ** (M + 2 + nf.v)) % mod,) if M and row else row
-                for M, row in enumerate(rows)
-            )
-            leaked.append((B, rows))
-        return nf, tuple(leaked)
+        leaked = tuple(
+            (B, row[:-1] + ((row[-1] + p ** (nf.v + 3)) % mod,) if row else row)
+            for B, row in tables
+        )
+        return nf, leaked
 
-    monkeypatch.setattr(integration, "_moment_table", mutant)
+    monkeypatch.setattr(limits, "_limit_table", mutant)
 
 
 @pytest.mark.parametrize(
