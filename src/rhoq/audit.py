@@ -15,10 +15,9 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from math import comb, inf
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 from .calculus import RhoQParams, rhoq_integer, rhoq_power
 from .integration import (
@@ -41,12 +40,11 @@ from .mahler import lipschitz_norm_grid, mahler_coefficients, truncation_polynom
 from .measures import (
     Ball,
     DensityScaled,
-    Distribution,
     RhoQHaar,
     check_invariance,
+    densities,
     difference,
     lipschitz_estimate,
-    radon_nikodym_derivative,
 )
 from .padic import PadicNumber, PrecisionError, div
 from .sequences import gap_norm
@@ -267,11 +265,6 @@ def _sample_balls(cfg: AuditConfig, rng: random.Random, count: int) -> list[Ball
     return balls
 
 
-def _density(dist: Distribution, levels: Sequence[int]) -> Callable[[int], PadicNumber]:
-    """x -> the limit estimate of dist's rescaled ball values at x, memoized."""
-    return cache(lambda x: radon_nikodym_derivative(dist, x, levels).limit_estimate())
-
-
 # ---------------------------------------------------------------------------
 # the four audits
 # ---------------------------------------------------------------------------
@@ -289,11 +282,13 @@ def audit_lipschitz(cfg: AuditConfig) -> AuditReport:
         ("haar", RhoQHaar(params)),
         ("weighted [x]^2", WeightedDistribution(bracket_power(2), params)),
     ]
+    m = GRID_LEVEL
+    grid = range(p ** (m + 1))
     for label, dist in inputs:
-        density = _density(dist, levels)
-        m = GRID_LEVEL
-        c_lo = lipschitz_estimate(density, p, m, seed=cfg.seed)
-        c_hi = lipschitz_estimate(density, p, m + 1, seed=cfg.seed)
+        # the deeper grid holds the shallower one: one read for both
+        density = {x: seq.limit_estimate() for x, seq in zip(grid, densities(dist, grid, levels))}
+        c_lo = lipschitz_estimate(density.__getitem__, p, m, seed=cfg.seed)
+        c_hi = lipschitz_estimate(density.__getitem__, p, m + 1, seed=cfg.seed)
         stable = c_hi <= c_lo * p  # within one digit; equality means saturation
         checks.append(
             CheckRecord(
@@ -351,15 +346,17 @@ def audit_weighted_measure(cfg: AuditConfig) -> AuditReport:
     battery = _f_battery()
     norms = {fx.describe(): lipschitz_norm_grid(fx, params, GRID_LEVEL) for fx in battery}
     balls = _sample_balls(cfg, rng, 6)
+    ratio = PadicNumber(p, 0, params.ratio_residue(cfg.precision), cfg.precision)
+    # |(q/rho)^a| |1/[p^n]| of each ball, the same for every integrand
+    ball_factors = [
+        rhoq_power(ratio, ball.rep).norm()
+        * (Fraction(1) / rhoq_integer(p**ball.level, params, cfg.precision + ball.level).norm())
+        for ball in balls
+    ]
     for fx in battery:
         weighted = WeightedDistribution(fx, params)
-        for ball in balls:
-            v = weighted.value(ball)
-            twist = rhoq_power(
-                PadicNumber(p, 0, params.ratio_residue(cfg.precision), cfg.precision), ball.rep
-            )
-            bracket = rhoq_integer(p**ball.level, params, cfg.precision + ball.level)
-            bound = norms[fx.describe()] * twist.norm() * (Fraction(1) / bracket.norm())
+        for ball, v, factor in zip(balls, weighted.values(balls), ball_factors):
+            bound = norms[fx.describe()] * factor
             if gap_norm(v) > bound:
                 violations.append((fx.describe(), str(ball), str(gap_norm(v)), str(bound)))
     checks.append(
@@ -423,6 +420,10 @@ def audit_closed_form(cfg: AuditConfig) -> AuditReport:
     # (iii)'s comparisons per g, one per weight, made in one call at k = 1's
     # (iii), so that a failing check fails where it did.
     comparisons: list[list] = []
+    # (q/rho)^x and [x] of (ii)'s sample points, shared by the weights
+    w_ii = cfg.precision + 2
+    ratio = PadicNumber(p, 0, params.ratio_residue(w_ii), w_ii)
+    point_factors: dict[int, tuple[PadicNumber, PadicNumber]] = {}
 
     for k, dist in zip((1, 2, 3), dists):
         # (i) invariance classification
@@ -459,15 +460,14 @@ def audit_closed_form(cfg: AuditConfig) -> AuditReport:
         cert_ii: int | float = inf
         units = [x for x in range(1, p**2) if x % p]
         xs = sorted(rng.sample(units, min(16, len(units))))
-        for x in xs:
-            seq = radon_nikodym_derivative(dist, x, rn_levels)
+        for x, seq in zip(xs, densities(dist, xs, rn_levels)):
             if "density extraction (k=%d)" % k not in traces:
                 traces["density extraction (k=%d)" % k] = seq.describe()
             numerator = seq.limit_estimate()
-            denom = rhoq_power(
-                PadicNumber(p, 0, params.ratio_residue(cfg.precision + 2), cfg.precision + 2),
-                x,
-            ) * rhoq_integer(x, params, cfg.precision + 2) ** k
+            if x not in point_factors:
+                point_factors[x] = (rhoq_power(ratio, x), rhoq_integer(x, params, w_ii))
+            twist, bracket = point_factors[x]
+            denom = twist * bracket**k
             if denom.is_zero_residue:
                 continue
             if seq.best_certified is not None:
@@ -601,22 +601,22 @@ def audit_decomposition(cfg: AuditConfig) -> AuditReport:
     traces: dict = {}
     for label, f in test_functions:
         weighted = WeightedDistribution(f, params)
-        density = _density(weighted, window)
-        trace = radon_nikodym_derivative(weighted, 1, window).describe()
-        traces["density extraction at x=1 (%s)" % label] = trace
-        associated = DensityScaled(density, params)
-        remainder = difference(weighted, associated)
-
         sample = sorted(
             set(range(p)) | {rng.randrange(p ** max(window)) for _ in range(12)}
         )
+        # the density at every rep the remainder's balls read, 1 among them
+        reps = sorted({x % p**n for n in window for x in sample})
+        seqs = dict(zip(reps, densities(weighted, reps, window)))
+        traces["density extraction at x=1 (%s)" % label] = seqs[1].describe()
+        density = {x: seq.limit_estimate() for x, seq in seqs.items()}
+        associated = DensityScaled(density.__getitem__, params)
+        remainder = difference(weighted, associated)
+
         k_per_level: list[Fraction] = []
         for n in window:
-            worst = Fraction(0)
-            for x in sample:
-                v = remainder.rescaled(Ball(p, x, n))
-                worst = max(worst, gap_norm(v))
-            k_per_level.append(worst)
+            scale = remainder._scale(n)
+            values = remainder.values([Ball(p, x, n) for x in sample])
+            k_per_level.append(max(gap_norm(scale * v) for v in values))
         fitted_prefix = max(k_per_level[: max(1, len(k_per_level) // 2)])
         fitted_all = max(k_per_level)
         # the window max can only grow on the prefix max; one digit allowed

@@ -13,7 +13,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf
-from typing import Callable, Sequence
+from operator import attrgetter
+from typing import Callable, Iterator, Sequence
 
 from .calculus import RhoQParams, rhoq_integer
 from .padic import PadicNumber, dot, padic_from_integer, vp
@@ -106,23 +107,40 @@ def rhoq_haar_measure(ball: Ball, params: RhoQParams, digits: int | None = None)
     The valuation is -N plus a unit: values legitimately escape Z_p.
     """
     w = (digits if digits is not None else params.precision) + ball.level
-    return _haar_numerator(ball, params, w) / rhoq_integer(params.prime**ball.level, params, w)
+    factors = _haar_factors(params, ball.level, w)
+    return _haar_numerator(ball.rep, factors) / rhoq_integer(params.prime**ball.level, params, w)
 
 
-def _haar_numerator(ball: Ball, params: RhoQParams, w: int) -> PadicNumber:
-    """rho^(p^N) (q/rho)^rep mod p^w: [p^N] times the Haar value of the ball."""
-    p, N, mod = params.prime, ball.level, params.prime**w
-    num = pow(params.rho_residue(w), p**N, mod) * pow(params.ratio_residue(w), ball.rep, mod)
-    return PadicNumber(p, 0, num % mod, w)
+def _haar_factors(params: RhoQParams, level: int, w: int) -> tuple[int, int, int, int, int]:
+    """(p, w, p^w, rho^(p^level), q/rho), residues mod p^w: what the Haar
+    numerators of one level share."""
+    p = params.prime
+    mod = p**w
+    return p, w, mod, pow(params.rho_residue(w), p**level, mod), params.ratio_residue(w)
+
+
+def _haar_numerator(rep: int, factors: tuple[int, int, int, int, int]) -> PadicNumber:
+    """rho^(p^N) (q/rho)^rep mod p^w: [p^N] times the Haar value of rep + p^N Z_p."""
+    p, w, mod, rho_pn, ratio = factors
+    return PadicNumber(p, 0, rho_pn * pow(ratio, rep, mod) % mod, w)
 
 
 class RhoQHaar(Distribution):
     family = "rhoq_haar"
 
     def _value(self, ball: Ball) -> PadicNumber:
-        """`rhoq_haar_measure` at `digits`, over the [p^N] of `rescaled`."""
-        w = self.digits + ball.level
-        return _haar_numerator(ball, self.params, w) / self._scale(ball.level)
+        return self.values([ball])[0]
+
+    @_per_level
+    def _factors(self, level: int) -> tuple[int, int, int, int, int]:
+        return _haar_factors(self.params, level, self.digits + level)
+
+    def values(self, balls: Sequence[Ball]) -> list[PadicNumber]:
+        """`rhoq_haar_measure` at `digits` for each ball: its numerator off the
+        level's shared factors, over the [p^N] of `rescaled`."""
+        return [
+            _haar_numerator(b.rep, self._factors(b.level)) / self._scale(b.level) for b in balls
+        ]
 
 
 class LinearCombination(Distribution):
@@ -148,7 +166,13 @@ class LinearCombination(Distribution):
         return [padic_from_integer(c, p, w) if isinstance(c, int) else c for c, _ in self.parts]
 
     def _value(self, ball: Ball) -> PadicNumber:
-        return dot(self._coefficients(ball.level), [dist.value(ball) for _, dist in self.parts])
+        return self.values([ball])[0]
+
+    def values(self, balls: Sequence[Ball]) -> list[PadicNumber]:
+        """Each part reads all the balls in one call; a ball is one `dot` of
+        the level's coefficients with its parts' values."""
+        columns = [dist.values(balls) for _, dist in self.parts]
+        return [dot(self._coefficients(b.level), row) for b, row in zip(balls, zip(*columns))]
 
 
 def difference(d1: Distribution, d2: Distribution) -> LinearCombination:
@@ -248,7 +272,9 @@ def check_invariance(
     delta_N = max over sampled x of |[p^N] d(x + p^N Z_p) - [p^(N+1)] d(x + p^(N+1) Z_p)|.
     "-> 0" is operationalized as non-increasing over the window with the final
     value below p^-2.  The strong classification fits its constant on the
-    first half of the window and must hold on the second half.
+    first half of the window and must hold on the second half.  Every ball is
+    read in one `values` call, level by level, and each level's values are
+    then taken by position.
     """
     levels = sorted(levels)
     if not levels:
@@ -257,8 +283,9 @@ def check_invariance(
     p = params.prime
     sample_points = default_sample_points(p, levels[0], levels[-1] + 1, seed)
     read = sorted({*levels, *(N + 1 for N in levels)})
-    balls = [Ball(p, x, N) for N in read for x in sample_points]
-    values = dict(zip(balls, dist.values(balls)))
+    values = dist.values([Ball(p, x, N) for N in read for x in sample_points])
+    n = len(sample_points)
+    rows = {N: values[i * n : (i + 1) * n] for i, N in enumerate(read)}
 
     # the sups are taken on integer exponents: |d| = p^-ν(d), 0 for a zero residue
     deltas: list[Fraction] = []
@@ -266,9 +293,8 @@ def check_invariance(
     for N in levels:
         scale_lo, scale_hi = dist._scale(N), dist._scale(N + 1)
         e_delta = e_c = None
-        for x in sample_points:
-            v = values[Ball(p, x, N)]
-            d = scale_lo * v - scale_hi * values[Ball(p, x, N + 1)]
+        for v, v_hi in zip(rows[N], rows[N + 1]):
+            d = scale_lo * v - scale_hi * v_hi
             if d.unit and (e_delta is None or d.val < e_delta):
                 e_delta = d.val
             if v.unit and (e_c is None or v.val < e_c):
@@ -345,25 +371,51 @@ def _strong_fit(
 # ---------------------------------------------------------------------------
 
 
+def densities(
+    dist: Distribution,
+    xs: Sequence[int],
+    levels: Sequence[int],
+    target_exponent: int | None = None,
+) -> list[ApproximantSequence]:
+    """`radon_nikodym_derivative(dist, x, levels, target_exponent)` for each x
+    in xs, in order.
+
+    Every (x, N) ball is read in one `dist.values` call, level by level, and
+    each level's [p^N] is taken once for all the points.
+    """
+    if any(x < 0 for x in xs):
+        raise ValueError("x must be a nonnegative integer")
+    p = dist.params.prime
+    t = target_exponent if target_exponent is not None else default_target(dist.digits)
+    levels = sorted(levels)
+    values = dist.values([Ball(p, x, N) for N in levels for x in xs])
+    n = len(xs)
+    rows = [
+        [(N, dist._scale(N) * v) for v in values[i * n : (i + 1) * n]]
+        for i, N in enumerate(levels)
+    ]
+    return [
+        ApproximantSequence.build(
+            p, [row[j] for row in rows], t, note="rescaled ball values at x=%d" % x
+        )
+        for j, x in enumerate(xs)
+    ]
+
+
 def radon_nikodym_derivative(
     dist: Distribution,
     x: int,
     levels: Sequence[int],
     target_exponent: int | None = None,
 ) -> ApproximantSequence:
-    """A_N = [p^N] d(x mod p^N + p^N Z_p), with Cauchy rates.
+    """A_N = [p^N] d(x mod p^N + p^N Z_p), with Cauchy rates: the one-point
+    case of `densities`.
 
     Computable for any distribution; convergence is only expected for weakly
     invariant ones, which the caller asserts (the sequence records rates
     either way).
     """
-    if x < 0:
-        raise ValueError("x must be a nonnegative integer")
-    p = dist.params.prime
-    t = target_exponent if target_exponent is not None else default_target(dist.digits)
-    balls = [Ball(p, x, N) for N in sorted(levels)]
-    terms = [(b.level, dist._scale(b.level) * v) for b, v in zip(balls, dist.values(balls))]
-    return ApproximantSequence.build(p, terms, t, note="rescaled ball values at x=%d" % x)
+    return densities(dist, [x], levels, target_exponent)[0]
 
 
 #: pair budget of `lipschitz_estimate`: larger grids are sampled
@@ -373,19 +425,33 @@ MAX_PAIRS = 20000
 def lipschitz_estimate(
     f: Callable[[int], PadicNumber], p: int, level: int, *, seed: int = 1
 ) -> Fraction:
-    """max |f(x) - f(y)| / |x - y| over sampled pairs x != y below p^level.
+    """max |f(x) - f(y)| / |x - y| over pairs x != y below p^level.
 
-    Exhaustive up to MAX_PAIRS pairs, else a seeded sample of MAX_PAIRS;
-    this is the difference-quotient sup taken over the grid.  A quotient is
-    p^(ν(x - y) - ν(f(x) - f(y))), 0 for a zero-residue difference, so the
-    sup is taken over integer exponents and made a Fraction once.
+    A quotient is p^(ν(x - y) - ν(f(x) - f(y))), 0 for a zero-residue
+    difference, so the sup is taken over integer exponents and made a
+    Fraction once.
+
+    Over every pair when there are at most MAX_PAIRS of them, in n * level
+    differences (`_anchored_differences`): for each depth j < level and each
+    class mod p^j, every value minus one anchor, the value of the class known
+    to the most digits, gives j - (the least valuation of those that are not
+    zero residues), and the max over j is the all-pairs sup.  Each pair
+    (x, y) at ν(x - y) = j lies in one class mod p^j, with anchor a, and
+    f(x) - f(y) = (f(x) - f(a)) - (f(y) - f(a)).  As a is known to the most
+    digits, f(x) - f(a) is known as far as f(x), so a zero residue there
+    vanishes past every digit of a nonzero f(x) - f(y); by the ultrametric
+    inequality ν(f(x) - f(y)) is then at least the least valuation of the
+    nonzero ones.  Conversely each j - ν(f(x) - f(a)) is at most the
+    exponent of the pair (x, a).
+
+    Else over a seeded sample of MAX_PAIRS pairs.
     """
     n = p**level
     if n < 2:
         raise ValueError("need at least 2 sample points")
-    values = {x: f(x) for x in range(n)}
+    grid = [f(x) for x in range(n)]
     if n * (n - 1) // 2 <= MAX_PAIRS:
-        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+        diffs = _anchored_differences(grid, p, level)
     else:
         rng = random.Random(seed)
         pairs = []
@@ -394,6 +460,20 @@ def lipschitz_estimate(
             y = rng.randrange(n)
             if x != y:
                 pairs.append((min(x, y), max(x, y)))
-    diffs = ((y - x, values[x] - values[y]) for x, y in pairs)
-    e = max((vp(gap, p) - d.val for gap, d in diffs if d.unit), default=None)
+        diffs = ((vp(y - x, p), grid[x] - grid[y]) for x, y in pairs)
+    e = max((j - d.val for j, d in diffs if d.unit), default=None)
     return Fraction(0) if e is None else Fraction(p) ** e
+
+
+def _anchored_differences(
+    grid: list[PadicNumber], p: int, level: int
+) -> Iterator[tuple[int, PadicNumber]]:
+    """(j, grid[x] - anchor) for each depth j < level and each x, the anchor
+    the value of x's class mod p^j that is known to the most digits."""
+    for j in range(level):
+        step = p**j
+        for c in range(step):
+            cls = grid[c::step]
+            anchor = max(cls, key=attrgetter("abs_precision"))
+            for v in cls:
+                yield j, v - anchor

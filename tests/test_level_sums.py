@@ -347,20 +347,21 @@ def _lookups() -> int:
 
 def test_moment_table_lookups_of_one_thm33_report(capsys):
     """The moment- and limit-table lookups of `audit thm33 --p 3 --levels
-    1:5 --tol 5` on cold tables: 91, one per level batch of ball values and
+    1:5 --tol 5` on cold tables: 55, one per level batch of ball values and
     one per integral.  Its integral identity makes 27 (see the next test),
     the invariance checks 12 (levels 1..4 of each weight, one batch a level),
-    the density extractions 48 (16 batches a weight: six points, each read
-    in one call, of which the balls not already made come one batch a level)
-    and the 4 Bernoulli-type integrals of the side reports the rest.  All
-    three tables are cleared first: ball values that an earlier report left
-    in the ball memo make fewer lookups."""
+    the density extractions 12 (the six points of a weight read in one call,
+    whose balls not already made come one batch a level: levels 3 and 4,
+    where the invariance sample misses some, and 5 and 6, which it does not
+    read) and the 4 Bernoulli-type integrals of the side reports the
+    rest.  All three tables are cleared first: ball values that an earlier
+    report left in the ball memo make fewer lookups."""
     argv = ["audit", "thm33", "--p", "3", "--levels", "1:5", "--tol", "5"]
     _moment_table.cache_clear()
     _limit_table.cache_clear()
     _ball_memo.cache_clear()
     assert cli.main(argv) == 0
-    assert _lookups() == 91
+    assert _lookups() == 55
     # the same report again reads every ball value off the memo the first
     # left; what remains is the 27 lookups of its integral identity, which
     # reads no ball value, and the 4 Bernoulli-type integrals

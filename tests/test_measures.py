@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from rhoq import measures
 from rhoq.calculus import RhoQParams, rhoq_integer, rhoq_power
@@ -21,6 +22,7 @@ from rhoq.measures import (
     LinearCombination,
     RhoQHaar,
     check_invariance,
+    densities,
     difference,
     lipschitz_estimate,
     radon_nikodym_derivative,
@@ -336,6 +338,71 @@ class TestValues:
         check_invariance(dist, range(1, 4))
         radon_nikodym_derivative(dist, 5, range(1, 6))
         assert len(calls) == 2
+
+
+class TestDensities:
+    """`densities` is `radon_nikodym_derivative` at each of many points, and
+    the batched `values` of the Haar family and of a combination are their
+    balls' single values, field for field."""
+
+    LEVELS = range(1, 5)
+    # a repeated point, and points at and past 3^4, the deepest level's modulus
+    XS = [0, 1, 5, 1, 26, 81, 250]
+
+    @pytest.mark.parametrize("name", ["haar", "weighted", "density", "difference"])
+    def test_each_density_is_its_one_point_sequence(self, name):
+        pr = params(p=3, prec=10)
+        got = densities(_per_level_distributions(pr)[name], self.XS, self.LEVELS)
+        dist = _per_level_distributions(pr)[name]
+        assert [seq.describe() for seq in got] == [
+            radon_nikodym_derivative(dist, x, self.LEVELS).describe() for x in self.XS
+        ]
+        assert densities(dist, [], self.LEVELS) == []
+        with pytest.raises(ValueError, match="nonnegative"):
+            densities(dist, [1, -1], self.LEVELS)
+
+    @pytest.mark.parametrize("name", ["haar", "difference"])
+    def test_batched_values_are_the_single_values(self, name):
+        pr = params(p=3, prec=10)
+        reps = [(5, 3), (1, 1), (5, 3), (40, 4), (0, 2), (2, 1), (80, 4), (7, 2)]
+        balls = [Ball(3, a, N) for a, N in reps]
+        got = _per_level_distributions(pr)[name].values(balls)
+        dist = _per_level_distributions(pr)[name]
+        assert got == [dist.value(b) for b in balls] == [_direct_value(name, pr, b) for b in balls]
+
+
+@st.composite
+def _lipschitz_grids(draw):
+    """(p, level, grid): values at the points below p^level that mix digit
+    counts, bounded zeros, exact zeros and negative valuations.  The nonzero
+    ones are a few nearby values, each cut to its own precision, so that a
+    value known to few digits often agrees with two that differ."""
+    p = draw(st.sampled_from((3, 5)))
+    level = draw(st.integers(1, 3))
+    near = st.builds(
+        lambda v, u: PadicNumber(p, v, u, 4),
+        st.integers(-1, 1),
+        st.sampled_from((1, 1 + p, 1 + p**2, 2)),
+    )
+    pool = draw(st.lists(near, min_size=1, max_size=3))
+    value = st.one_of(
+        st.builds(PadicNumber.reduce_abs, st.sampled_from(pool), st.integers(1, 4)),
+        st.just(PadicNumber.exact_zero(p)),
+        st.builds(lambda a: PadicNumber.bounded_zero(p, a), st.integers(1, 3)),
+    )
+    return p, level, draw(st.lists(value, min_size=p**level, max_size=p**level))
+
+
+@given(_lipschitz_grids())
+@example((3, 1, [padic_from_integer(a, 3, d) for a, d in ((1, 1), (1, 3), (4, 3))]))
+def test_exhaustive_lipschitz_is_the_all_pairs_sup(grid):
+    # x = 0 is known to one digit: it agrees with both others, which differ
+    # from each other at 3^1, so an anchor at x = 0 would see no difference
+    p, level, values = grid
+    n = p**level
+    assert n * (n - 1) // 2 <= MAX_PAIRS
+    f = values.__getitem__
+    assert lipschitz_estimate(f, p, level) == lipschitz_fraction_loop(f, p, level, MAX_PAIRS)
 
 
 class TestNoBallStore:
