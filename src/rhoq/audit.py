@@ -124,6 +124,9 @@ class AuditConfig:
         for t in self.theorems:
             if t not in AUDIT_IDS:
                 raise ValueError("unknown audit id %r" % t)
+            cap = {"thm32": 3, "thm33": 3, "thm34": 4}.get(t, self.n_min)  # deepest level sampled
+            if self.n_min > cap:
+                raise ValueError("%s samples levels <= %d: need n_min <= %d" % (t, cap, cap))
 
     @property
     def tolerance(self) -> int:

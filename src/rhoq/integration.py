@@ -26,8 +26,8 @@ builder (`_level_batch`) forms it for all three: the plain integral
 (a = n = 0, M = m), the direct restricted sums (M = n + m), and the
 restriction identity (M = m at parameters lifted by n, times 1/[p^n]).  The
 last two reach the same ball value through different arithmetic, which is
-what makes thm32's cross-check worth running.  `_level_batch` takes a
-sequence of shifts, one for an integral or a single ball.
+what makes thm32's cross-check worth running.  `_level_batch` takes one
+shift, 0 or a ball's rep, and reads its sums through `progression_sums`.
 
 A `WeightedDistribution` takes no limit over levels: `rhoq.limits` holds
 the exact limit of the restriction identity per (weight, params, digits,
@@ -404,44 +404,6 @@ def _shift_row(taylor: list[list[int]], moments: Sequence[int], mod: int) -> tup
     return tuple(x % mod for x in reversed(shifted))
 
 
-def _progression_batch(
-    f: IntegrableFunction,
-    params: RhoQParams,
-    max_level: int,
-    shifts: Iterable[int],
-    step: int,
-    w: int,
-) -> tuple[Iterator[list[int | None]], int]:
-    """`progression_sums` for every shift in shifts, read off one moment
-    table: (the sums of each shift in turn, deficiency).
-
-    The table is looked up here; the sums are made as they are read.  Each
-    shift costs one Horner pass per base and level and one power B^a, a
-    single product when the shift follows the one before.
-    """
-    p = params.prime
-    nf, tables = _moment_table(f, params, w, step, max_level)
-    mod, scale, out = p**nf.W, p**nf.v, p**w
-
-    def sums() -> Iterator[list[int | None]]:
-        last, powers = None, [1] * len(tables)
-        for a in shifts:
-            acc = [0] * (max_level + 1)
-            for j, (B, rows) in enumerate(tables):
-                b = powers[j] * B % mod if last == a - 1 else pow(B, a, mod)
-                powers[j] = b
-                for m, row in enumerate(rows):
-                    r = 0
-                    for c in row:
-                        r = r * a + c
-                    acc[m] += b * (r % mod)
-            last = a
-            acc = [s % mod for s in acc]
-            yield [s // scale % out if s % scale == 0 else None for s in acc]
-
-    return sums(), nf.deficiency
-
-
 def progression_sums(
     f: IntegrableFunction,
     params: RhoQParams,
@@ -460,11 +422,52 @@ def progression_sums(
     f is lowered once per moment table to p^-v sum P_b(x) b^x.  The weight
     folds into every base B = b q/rho; a level sum is B^shift times the
     table's shift polynomial of the level at the shift (see `_moment_table`),
-    and the total is divided by p^v exactly.  The one-shift case of
-    `_progression_batch`.
+    and the total is divided by p^v exactly.  The one reader of a moment
+    table: B^shift once per base, one Horner pass per base and level.
     """
-    sums, deficiency = _progression_batch(f, params, max_level, (shift,), step, w)
-    return next(sums), deficiency
+    p = params.prime
+    nf, tables = _moment_table(f, params, w, step, max_level)
+    mod, scale, out = p**nf.W, p**nf.v, p**w
+    acc = [0] * (max_level + 1)
+    for B, rows in tables:
+        b = pow(B, shift, mod)
+        for m, row in enumerate(rows):
+            r = 0
+            for c in row:
+                r = r * shift + c
+            acc[m] += b * (r % mod)
+    acc = [s % mod for s in acc]
+    return [s // scale % out if s % scale == 0 else None for s in acc], nf.deficiency
+
+
+def _evaluate(terms: Sequence[tuple], xs: Iterable[int], mod: int) -> list[int]:
+    """sum over (B, P) in terms of B^x P(x) mod `mod`, per x in xs, each P
+    highest degree first: a Horner pass per P and a power B^x, a single
+    product when x follows the point before.  The one evaluator of a normal
+    form (`values`) and of a limit table (`limits.ball_values`)."""
+    out, last, powers = [], None, [1] * len(terms)
+    for x in xs:
+        r = 0
+        for j, (B, coeffs) in enumerate(terms):
+            powers[j] = powers[j] * B % mod if last == x - 1 else pow(B, x, mod)
+            acc = 0
+            for c in coeffs:
+                acc = acc * x + c
+            r += powers[j] * acc
+        last = x
+        out.append(r % mod)
+    return out
+
+
+def _scaled(x: int, p: int, shift: int, digits: int) -> PadicNumber:
+    """p^-shift x for an integer x known mod p^(digits + shift)."""
+    if digits + shift < 1:  # not even x mod p is known
+        raise PrecisionError("series known to no digit")
+    x %= p ** (digits + shift)
+    if not x:
+        return PadicNumber.bounded_zero(p, digits)
+    e = vp(x, p)
+    return _new(p, e - shift, x // p**e, digits + shift - e)
 
 
 def values(
@@ -472,33 +475,18 @@ def values(
 ) -> list[PadicNumber]:
     """f(x) for x in xs, read off f's normal form p^-v sum P_b(x) b^x mod p^W.
 
-    f is lowered once per call; each value costs a Horner pass per P_b and
-    a power b^x (one product when x follows the point before).  Every value
+    f is lowered once per call and evaluated by `_evaluate`.  Every value
     is known to digits - deficiency absolute digits.  A residue cannot show
     that a value is exactly 0, so a zero residue is the bounded zero
     O(p^known); only a form with no terms (an empty series) gives the exact zero.
     """
     nf = lower(f, params, digits)
-    p, mod = params.prime, params.prime**nf.W
+    p = params.prime
     if not nf.terms:
         return [PadicNumber.exact_zero(p)] * len(xs)
     known = digits - nf.deficiency
-    zero = PadicNumber.bounded_zero(p, known)  # PrecisionError when no digit is known
-    out = []
-    powers = [1] * len(nf.terms)  # b^last per base
-    last = None
-    for x in xs:
-        r = 0
-        for j, (base, coeffs) in enumerate(nf.terms):
-            acc = 0
-            for c in coeffs:
-                acc = acc * x + c
-            powers[j] = powers[j] * base % mod if last == x - 1 else pow(base, x, mod)
-            r += acc % mod * powers[j]
-        last = x
-        z = PadicNumber.from_integer(r % mod, p, known + nf.v)  # p^v f(x), or a zero
-        out.append(PadicNumber(p, z.val - nf.v, z.unit, z.digits) if z.unit else zero)
-    return out
+    PadicNumber.bounded_zero(p, known)  # PrecisionError when no digit is known
+    return [_scaled(r, p, nf.v, known) for r in _evaluate(nf.terms, xs, p**nf.W)]
 
 
 # ---------------------------------------------------------------------------
@@ -528,50 +516,44 @@ def _level_batch(
     params: RhoQParams,
     levels: Sequence[int],
     d: int,
-    shifts: Iterable[int],
+    shift: int,
     n: int = 0,
     lifted: bool = False,
-) -> Iterator[list[tuple[int, PadicNumber]]]:
-    """Per shift a in shifts, one list in turn: rho'^(p^M) S_m / [p^M]' for
-    m in levels (sorted), where S_m is the sum over y < p^m of f(x)
-    (q/rho)^x at x = a + p^n y.
+) -> list[tuple[int, PadicNumber]]:
+    """(m, rho'^(p^M) S_m / [p^M]') for m in levels (sorted), where S_m is
+    the sum over y < p^m of f(x) (q/rho)^x at x = shift + p^n y.
 
     At the given parameters M = n + m: the plain integral (n = 0) and the
     direct restricted sums.  With lifted, M = m at params.lifted(n), times
-    1/[p^n]: the restriction identity.  The sums are taken off one moment
-    table, to w = d + n + top + 1 digits, and are sound to w - deficiency.
-    Each level costs one product: the sum times its factor from
-    `_level_factors`, which every shift shares.  A product or quotient keeps
-    the sum of the valuations and the fewest digits, so folding the factors
-    first gives the same value as dividing per ball.
-
-    Made as they are read, the lookups at the first read: a caller that
-    builds each ball's sequence as its terms come out never holds a whole
-    level of term lists, and one that reads nothing looks nothing up.
+    1/[p^n]: the restriction identity.  The sums come from one
+    `progression_sums` call, to w = d + n + top + 1 digits, and are sound to
+    w - deficiency.  Each level costs one product: the sum times its factor
+    from `_level_factors`, which every ball of a level shares.  A product or
+    quotient keeps the sum of the valuations and the fewest digits, so
+    folding the factors first gives the same value as dividing per ball.
     """
     p = params.prime
     levels = tuple(levels)
     top = max(levels, default=0)
     w = d + n + top + 1
-    batch, deficiency = _progression_batch(f, params, top, shifts, p**n, w)
+    sums, deficiency = progression_sums(f, params, top, shift, p**n, w)
     known = w - deficiency
     factors = _level_factors(params, levels, n, known, lifted)
     mod = p**known
-    for sums in batch:
-        terms = []
-        for m, factor in zip(levels, factors):
-            s = sums[m]
-            if s is None:
-                raise DomainError("level sum with negative valuation")
-            s %= mod
-            if s:  # factor * s; a factor is never zero: units over nonzero brackets
-                v = vp(s, p)
-                r = min(factor.digits, known - v)
-                term = _new(p, factor.val + v, factor.unit * (s // p**v) % p**r, r)
-            else:
-                term = PadicNumber.bounded_zero(p, factor.val + known)
-            terms.append((m, term))
-        yield terms
+    terms = []
+    for m, factor in zip(levels, factors):
+        s = sums[m]
+        if s is None:
+            raise DomainError("level sum with negative valuation")
+        s %= mod
+        if s:  # factor * s; a factor is never zero: units over nonzero brackets
+            v = vp(s, p)
+            r = min(factor.digits, known - v)
+            term = _new(p, factor.val + v, factor.unit * (s // p**v) % p**r, r)
+        else:
+            term = PadicNumber.bounded_zero(p, factor.val + known)
+        terms.append((m, term))
+    return terms
 
 
 def volkenborn_integral(
@@ -588,7 +570,7 @@ def volkenborn_integral(
         raise ValueError("levels must be >= 1")
     d = digits if digits is not None else params.precision
     t = target_exponent if target_exponent is not None else default_target(d)
-    [terms] = _level_batch(f, params, levels, d, (0,))
+    terms = _level_batch(f, params, levels, d, 0)
     terms = [(N, a.reduce_abs(d) if a.abs_precision > d else a) for N, a in terms]
     return ApproximantSequence.build(
         params.prime, terms, t, note="integral of %s" % f.describe()
@@ -612,7 +594,7 @@ def weighted_measure_sequence(
     if not inner_levels or inner_levels[0] < 1:
         raise ValueError("inner levels must be >= 1")
     d = digits if digits is not None else params.precision
-    [terms] = _level_batch(f, params, inner_levels, d, (ball.rep,), ball.level, lifted=True)
+    terms = _level_batch(f, params, inner_levels, d, ball.rep, ball.level, lifted=True)
     note = "weighted measure of %s on %s" % (f.describe(), ball)
     return ApproximantSequence.build(params.prime, terms, default_target(d), note=note)
 
@@ -632,7 +614,7 @@ def weighted_measure_direct(
     weighted_measure_sequence (same mathematical object, different arithmetic).
     """
     d = digits if digits is not None else params.precision
-    [terms] = _level_batch(f, params, range(1, depth + 1), d, (ball.rep,), ball.level)
+    terms = _level_batch(f, params, range(1, depth + 1), d, ball.rep, ball.level)
     note = "direct restricted sums of %s on %s" % (f.describe(), ball)
     return ApproximantSequence.build(params.prime, terms, default_target(d), note=note)
 

@@ -49,12 +49,14 @@ from .integration import (
     IntegrableFunction,
     NormalForm,
     WeightedDistribution,
+    _evaluate,
     _moment_sums,
+    _scaled,
     _shift_row,
     _taylor,
     lower,
 )
-from .padic import PadicNumber, PrecisionError, _new, padic_log, vp
+from .padic import PadicNumber, padic_log, vp
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -153,40 +155,18 @@ def _p_bernoulli(m: int, p: int, mod: int) -> int:
     return b.numerator * pow(b.denominator, -1, mod) % mod
 
 
-def _scaled(x: int, p: int, shift: int, digits: int) -> PadicNumber:
-    """p^-shift x for an integer x known mod p^(digits + shift)."""
-    if digits + shift < 1:  # not even x mod p is known
-        raise PrecisionError("series known to no digit")
-    x %= p ** (digits + shift)
-    if not x:
-        return PadicNumber.bounded_zero(p, digits)
-    e = vp(x, p)
-    return _new(p, e - shift, x // p**e, digits + shift - e)
-
-
 def ball_values(
     f: IntegrableFunction, params: RhoQParams, n: int, reps: Sequence[int], digits: int
 ) -> list[PadicNumber]:
     """mu_f(a + p^n Z_p) for a in reps, to digits + 1 absolute digits (fewer
     by the digits that coefficients known to fewer digits take off), off one
-    limit table: one Horner pass per base and one power B^a a ball, a single
-    product when the rep follows the one before."""
+    limit table: one Horner pass per base and one power B^a a ball
+    (`_evaluate`)."""
     p = params.prime
     nf, tables = _limit_table(f, params, digits + n + 2, n)
-    mod, shift = p**nf.W, nf.v + n + 1
+    shift = nf.v + n + 1
     known = min(digits + 1, nf.W - nf.deficiency - shift)
-    out, last, powers = [], None, [1] * len(tables)
-    for a in reps:
-        x = 0
-        for j, (B, row) in enumerate(tables):
-            powers[j] = powers[j] * B % mod if last == a - 1 else pow(B, a, mod)
-            r = 0
-            for c in row:
-                r = r * a + c
-            x += powers[j] * r
-        last = a
-        out.append(_scaled(x, p, shift, known))
-    return out
+    return [_scaled(x, p, shift, known) for x in _evaluate(tables, reps, p**nf.W)]
 
 
 def riemann_sums(

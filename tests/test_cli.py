@@ -259,6 +259,24 @@ class TestLevelRule:
             "rhoq: error: level window too deep for the precision: need n_max <= precision - 4\n",
         )
 
+    # thm32 and thm33 sample levels <= 3, thm34 levels <= 4; thm31 has no cap
+    PAST_CAP = {
+        "thm32": (["thm32", "--levels", "4:7"], "thm32 samples levels <= 3: need n_min <= 3"),
+        "thm33": (["thm33", "--levels", "4:7"], "thm33 samples levels <= 3: need n_min <= 3"),
+        "thm34": (["thm34", "--levels", "5:8"], "thm34 samples levels <= 4: need n_min <= 4"),
+        "all": (["all", "--levels", "5:8"], "thm32 samples levels <= 3: need n_min <= 3"),
+    }
+
+    @pytest.mark.parametrize("argv, message", PAST_CAP.values(), ids=PAST_CAP.keys())
+    def test_window_past_an_audits_cap_is_refused(self, argv, message):
+        code, out, err = fresh_process(["audit", *argv, "--p", "3"])
+        assert (code, out, err) == (EXIT_ERROR, "", "rhoq: error: %s\n" % message)
+
+    def test_uncapped_thm31_runs_past_the_caps(self):
+        code, out = in_process(["audit", "thm31", "--p", "3", "--levels", "5:8"])
+        assert code == 0
+        assert json.loads(out)["config"]["levels"] == [5, 8]
+
     @pytest.mark.parametrize("window", ["0:3", "3:1"])
     def test_empty_or_sub_one_windows_are_refused_everywhere(self, window, capsys):
         commands = (["audit", "all"], ["integrate", "--function", "x"], ["mahler", "--function", "x"])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from rhoq import integration
 from rhoq.calculus import RhoQParams, rhoq_power
 from rhoq.integration import (
     WeightedDistribution,
@@ -74,6 +75,28 @@ class TestEngine:
                 fx = function_value(f, pr.rho_base, pr.q_base, x)
                 acc = (acc + rat_mod(fx, 5, w) * pow(t, x, mod)) % mod
             assert sums[2] % 5 ** (w - deficiency) == acc % 5 ** (w - deficiency)
+
+    READERS = {
+        "integral": lambda f, pr: volkenborn_integral(f, pr, [1, 2, 3]),
+        "restriction-identity": lambda f, pr: weighted_measure_sequence(
+            f, pr, Ball(5, 3, 1), [1, 2, 3]
+        ),
+        "direct-sums": lambda f, pr: weighted_measure_direct(f, pr, Ball(5, 3, 1), 3),
+    }
+
+    @pytest.mark.parametrize("read", READERS.values(), ids=READERS.keys())
+    def test_level_sums_come_from_progression_sums_once(self, read, monkeypatch):
+        """progression_sums is the one reader of a moment table: an integral
+        and each path to a ball value read their sums in one call."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return progression_sums(*args)
+
+        monkeypatch.setattr(integration, "progression_sums", counted)
+        read(bracket_power(2), params(prec=10))
+        assert len(calls) == 1
 
     def test_mahler_family_engine(self):
         pr = params(prec=10)

@@ -185,7 +185,7 @@ def test_folded_level_factors_match_the_unfused_chain(p, regime, lifted):
     levels = (1, 2, 3)
     for f in (const(0), poly_in_x([1, 3, 0, 2]), bracket_power(2), mixed_power(1, 1)):
         for shift, n in ((0, 0), (1, 1), (p + 2, 2)):
-            [folded] = _level_batch(f, params, levels, 8, (shift,), n, lifted)
+            folded = _level_batch(f, params, levels, 8, shift, n, lifted)
             unfused = _unfused_terms(f, params, levels, 8, shift, n, lifted)
             assert [m for m, _ in folded] == list(levels)
             got = [(t.val, t.unit, t.digits) for _, t in folded]
