@@ -77,6 +77,8 @@ SAFETY_MARGIN = 4
 #: the Riemann sums of the integral identity (thm33) run over levels
 #: 1..min(OUTER_CAP, n_max)
 OUTER_CAP = 5
+#: the deepest level thm32, thm33 and thm34 sample; thm31 has no cap
+LEVEL_CAP = {"thm32": 3, "thm33": 3, "thm34": 4}
 
 #: the certified vanishing exponent of a difference, d ≡ 0 mod p^e
 _valuation = attrgetter("valuation")
@@ -121,10 +123,12 @@ class AuditConfig:
                 % SAFETY_MARGIN
             )
         level_window(self.n_min, self.n_max)
+        if self.tolerance_exponent is not None and self.tolerance_exponent < 1:
+            raise ValueError("tolerance exponent must be >= 1")
         for t in self.theorems:
             if t not in AUDIT_IDS:
                 raise ValueError("unknown audit id %r" % t)
-            cap = {"thm32": 3, "thm33": 3, "thm34": 4}.get(t, self.n_min)  # deepest level sampled
+            cap = LEVEL_CAP.get(t, self.n_min)
             if self.n_min > cap:
                 raise ValueError("%s samples levels <= %d: need n_min <= %d" % (t, cap, cap))
 
@@ -263,7 +267,7 @@ def _f_battery() -> list[IntegrableFunction]:
 def _sample_balls(cfg: AuditConfig, rng: random.Random, count: int) -> list[Ball]:
     balls = []
     for _ in range(count):
-        n = rng.randint(cfg.n_min, min(cfg.n_max, 3))
+        n = rng.randint(cfg.n_min, min(cfg.n_max, LEVEL_CAP["thm32"]))
         balls.append(Ball(cfg.p, rng.randrange(cfg.p**n), n))
     return balls
 
@@ -290,8 +294,8 @@ def audit_lipschitz(cfg: AuditConfig) -> AuditReport:
     for label, dist in inputs:
         # the deeper grid holds the shallower one: one read for both
         density = {x: seq.limit_estimate() for x, seq in zip(grid, densities(dist, grid, levels))}
-        c_lo = lipschitz_estimate(density.__getitem__, p, m, seed=cfg.seed)
-        c_hi = lipschitz_estimate(density.__getitem__, p, m + 1, seed=cfg.seed)
+        c_lo = lipschitz_estimate(density.__getitem__, p, m)
+        c_hi = lipschitz_estimate(density.__getitem__, p, m + 1)
         stable = c_hi <= c_lo * p  # within one digit; equality means saturation
         checks.append(
             CheckRecord(
@@ -431,7 +435,7 @@ def audit_closed_form(cfg: AuditConfig) -> AuditReport:
     for k, dist in zip((1, 2, 3), dists):
         # (i) invariance classification
         report = check_invariance(
-            dist, range(cfg.n_min, min(cfg.n_max, 3) + 1), seed=cfg.seed
+            dist, range(cfg.n_min, min(cfg.n_max, LEVEL_CAP["thm33"]) + 1), seed=cfg.seed
         )
         if report.strongly:
             verdict = "PASS"
@@ -540,7 +544,7 @@ def audit_closed_form(cfg: AuditConfig) -> AuditReport:
         # (iv) splitting-identity expansion, term by term
         splits = []
         for _ in range(4):
-            n = rng.randint(1, min(3, cfg.n_max))
+            n = rng.randint(1, min(LEVEL_CAP["thm33"], cfg.n_max))
             a = rng.randrange(p**n)
             i = rng.randint(0, p**2)
             splits.append(_splitting_difference(a, i, n, k, params, cfg.precision + 4))
@@ -592,7 +596,7 @@ def audit_decomposition(cfg: AuditConfig) -> AuditReport:
     rng = random.Random(cfg.seed + 34)
     checks: list[CheckRecord] = []
     constants: dict = {}
-    window = range(cfg.n_min, min(cfg.n_max, 4) + 1)
+    window = range(cfg.n_min, min(cfg.n_max, LEVEL_CAP["thm34"]) + 1)
 
     series = mahler_coefficients(ratio_exponential(), 12, params, digits=cfg.precision + 2)
     test_functions = [

@@ -651,10 +651,6 @@ class WeightedDistribution(Distribution):
             for memo in self._weights.values():
                 memo.clear()
 
-    def _value(self, ball: Ball) -> PadicNumber:
-        hit = self._memo.get(ball)
-        return hit if hit is not None else self._batch(ball.level, [ball.rep])[0]
-
     def values(self, balls: Sequence[Ball]) -> list[PadicNumber]:
         """The balls not in the memo are made by one `_batch` per level."""
         found, missing = {}, {}

@@ -60,7 +60,8 @@ def _per_level(make: Callable) -> Callable:
 
 
 class Distribution:
-    """Lazy ball function: a ball's value is made when it is read.
+    """Lazy ball function: a ball's value is made when it is read, by
+    `values(balls)`, the one method a family defines.
 
     Values are pure given the parameters and known to `digits`, the
     precision of the parameters.  Only what the balls of one level share is
@@ -79,14 +80,11 @@ class Distribution:
         return self.params.precision
 
     def value(self, ball: Ball) -> PadicNumber:
-        return self._value(ball)
+        return self.values([ball])[0]
 
     def values(self, balls: Sequence[Ball]) -> list[PadicNumber]:
-        """value(ball) for each ball, in order; a family that makes a level's
-        balls together reads them in one batch per level."""
-        return [self.value(ball) for ball in balls]
-
-    def _value(self, ball: Ball) -> PadicNumber:
+        """Each ball's value, in order: the one method a family defines (one
+        that makes a level's balls together makes them in one batch per level)."""
         raise NotImplementedError
 
     @_per_level
@@ -128,9 +126,6 @@ def _haar_numerator(rep: int, factors: tuple[int, int, int, int, int]) -> PadicN
 class RhoQHaar(Distribution):
     family = "rhoq_haar"
 
-    def _value(self, ball: Ball) -> PadicNumber:
-        return self.values([ball])[0]
-
     @_per_level
     def _factors(self, level: int) -> tuple[int, int, int, int, int]:
         return _haar_factors(self.params, level, self.digits + level)
@@ -165,9 +160,6 @@ class LinearCombination(Distribution):
         p, w = self.params.prime, self.digits + 2 * level + 2
         return [padic_from_integer(c, p, w) if isinstance(c, int) else c for c, _ in self.parts]
 
-    def _value(self, ball: Ball) -> PadicNumber:
-        return self.values([ball])[0]
-
     def values(self, balls: Sequence[Ball]) -> list[PadicNumber]:
         """Each part reads all the balls in one call; a ball is one `dot` of
         the level's coefficients with its parts' values."""
@@ -201,8 +193,8 @@ class DensityScaled(Distribution):
         params = self.params
         return rhoq_haar_measure(Ball(params.prime, 0, level), params, self.digits + level)
 
-    def _value(self, ball: Ball) -> PadicNumber:
-        return self._haar(ball.level) * self.density(ball.rep)
+    def values(self, balls: Sequence[Ball]) -> list[PadicNumber]:
+        return [self._haar(b.level) * self.density(b.rep) for b in balls]
 
 
 # ---------------------------------------------------------------------------
@@ -418,49 +410,30 @@ def radon_nikodym_derivative(
     return densities(dist, [x], levels, target_exponent)[0]
 
 
-#: pair budget of `lipschitz_estimate`: larger grids are sampled
-MAX_PAIRS = 20000
-
-
-def lipschitz_estimate(
-    f: Callable[[int], PadicNumber], p: int, level: int, *, seed: int = 1
-) -> Fraction:
-    """max |f(x) - f(y)| / |x - y| over pairs x != y below p^level.
+def lipschitz_estimate(f: Callable[[int], PadicNumber], p: int, level: int) -> Fraction:
+    """max |f(x) - f(y)| / |x - y| over every pair x != y below p^level.
 
     A quotient is p^(ν(x - y) - ν(f(x) - f(y))), 0 for a zero-residue
     difference, so the sup is taken over integer exponents and made a
     Fraction once.
 
-    Over every pair when there are at most MAX_PAIRS of them, in n * level
-    differences (`_anchored_differences`): for each depth j < level and each
-    class mod p^j, every value minus one anchor, the value of the class known
-    to the most digits, gives j - (the least valuation of those that are not
-    zero residues), and the max over j is the all-pairs sup.  Each pair
-    (x, y) at ν(x - y) = j lies in one class mod p^j, with anchor a, and
+    It takes n * level differences, n = p^level (`_anchored_differences`):
+    for each depth j < level and each class mod p^j, every value minus one
+    anchor, the value of the class known to the most digits, gives
+    j - (the least valuation of those that are not zero residues), and the
+    max over j is the all-pairs sup.  Each pair (x, y) at ν(x - y) = j lies
+    in one class mod p^j, with anchor a, and
     f(x) - f(y) = (f(x) - f(a)) - (f(y) - f(a)).  As a is known to the most
     digits, f(x) - f(a) is known as far as f(x), so a zero residue there
     vanishes past every digit of a nonzero f(x) - f(y); by the ultrametric
     inequality ν(f(x) - f(y)) is then at least the least valuation of the
     nonzero ones.  Conversely each j - ν(f(x) - f(a)) is at most the
     exponent of the pair (x, a).
-
-    Else over a seeded sample of MAX_PAIRS pairs.
     """
     n = p**level
     if n < 2:
         raise ValueError("need at least 2 sample points")
-    grid = [f(x) for x in range(n)]
-    if n * (n - 1) // 2 <= MAX_PAIRS:
-        diffs = _anchored_differences(grid, p, level)
-    else:
-        rng = random.Random(seed)
-        pairs = []
-        while len(pairs) < MAX_PAIRS:
-            x = rng.randrange(n)
-            y = rng.randrange(n)
-            if x != y:
-                pairs.append((min(x, y), max(x, y)))
-        diffs = ((vp(y - x, p), grid[x] - grid[y]) for x, y in pairs)
+    diffs = _anchored_differences([f(x) for x in range(n)], p, level)
     e = max((j - d.val for j, d in diffs if d.unit), default=None)
     return Fraction(0) if e is None else Fraction(p) ** e
 

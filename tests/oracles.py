@@ -14,7 +14,6 @@ the package either).
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import comb
 
@@ -177,25 +176,14 @@ def mahler_forward_substitution(values: list, binomial) -> list:
     return coeffs
 
 
-def lipschitz_fraction_loop(f, p: int, level: int, max_pairs: int, seed: int = 1) -> Fraction:
-    """max |f(x) - f(y)| / |x - y| as one Fraction division per pair, over the
-    pairs the package's `lipschitz_estimate` takes: every pair below p^level
-    up to max_pairs of them, else max_pairs seeded draws.  A difference that
-    is a zero residue counts as 0."""
+def lipschitz_fraction_loop(f, p: int, level: int) -> Fraction:
+    """max |f(x) - f(y)| / |x - y| as one Fraction division per pair, over
+    every pair below p^level.  A difference that is a zero residue counts
+    as 0."""
     n = p**level
-    values = {x: f(x) for x in range(n)}
-    if n * (n - 1) // 2 <= max_pairs:
-        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
-    else:
-        rng = random.Random(seed)
-        pairs = []
-        while len(pairs) < max_pairs:
-            x = rng.randrange(n)
-            y = rng.randrange(n)
-            if x != y:
-                pairs.append((min(x, y), max(x, y)))
+    values = [f(x) for x in range(n)]
     best = Fraction(0)
-    for x, y in pairs:
+    for x, y in ((x, y) for x in range(n) for y in range(x + 1, n)):
         d = values[x] - values[y]
         if d.unit == 0:
             continue

@@ -285,6 +285,23 @@ class TestLevelRule:
             assert capsys.readouterr() == ("", "rhoq: error: need 1 <= n_min <= n_max\n")
 
 
+class TestToleranceRule:
+    """An audit's --tol is at least 1: at t <= 0 every difference agrees to
+    p^-t, so no agreement check could fail."""
+
+    @pytest.mark.parametrize("tol", ["0", "-3"])
+    def test_audit_refuses_a_tolerance_below_one(self, tol):
+        code, out, err = fresh_process(["audit", "all", "--tol", tol])
+        message = "rhoq: error: tolerance exponent must be >= 1\n"
+        assert (code, out, err) == (EXIT_ERROR, "", message)
+
+    def test_tolerance_one_runs(self, capsys):
+        code = main(["audit", "all", "--p", "3", "--levels", "1:3", "--tol", "1"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert json.loads(out)["config"]["tolerance_exponent"] == 1
+
+
 class TestPointValuesReadTheNormalForm:
     """Rational constants with p in the denominator, and mixed:A,0, through
     every command that reads a function spec."""

@@ -73,12 +73,20 @@ def test_default_audit_report_is_byte_identical_to_golden():
     assert _audit(["audit", "all"]) == DEFAULT.read_bytes()
 
 
-# thm31 at p = 7 samples its Lipschitz pairs (58,653 pairs at level 3);
-# thm34 at p = 7 reads DensityScaled and difference ball values
+# thm31 at p = 7 takes its Lipschitz sup over all 58,653 pairs of the
+# 343-point level-3 grid; thm34 at p = 7 reads DensityScaled and difference
+# ball values
 @pytest.mark.parametrize("theorem", ["thm31", "thm34"])
 def test_p7_audit_report_is_byte_identical_to_golden(theorem):
     golden = Path(__file__).parent / "golden" / ("audit_%s_p7_prec12_levels1-4_seed1.json" % theorem)
     assert _audit(["audit", theorem, "--p", "7", "--levels", "1:4"]) == golden.read_bytes()
+
+
+def test_p11_lipschitz_audit_report_is_byte_identical_to_golden():
+    """thm31 at p = 11: the sup over all 885,115 pairs of the 1,331-point
+    level-3 grid."""
+    golden = Path(__file__).parent / "golden" / "audit_thm31_p11_prec12_levels1-4_seed1.json"
+    assert _audit(["audit", "thm31", "--p", "11", "--levels", "1:4"]) == golden.read_bytes()
 
 
 def test_thm33_report_past_the_ball_memo_is_byte_identical_to_golden():
