@@ -269,6 +269,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
+    if args.tol is not None and args.tol < 1:  # at t <= 0 every difference agrees to p^-t
+        raise ValueError("tolerance exponent must be >= 1")
     n_min, n_max = _levels(args.levels)
     if args.command == "audit":
         return _run_audit(args, n_min, n_max)

@@ -29,19 +29,18 @@ last two reach the same ball value through different arithmetic, which is
 what makes thm32's cross-check worth running.  `_level_batch` takes one
 shift, 0 or a ball's rep, and reads its sums through `progression_sums`.
 
-A `WeightedDistribution` takes no limit over levels: `rhoq.limits` holds
+A `WeightedDistribution` takes no limit over levels: `_limit_table` holds
 the exact limit of the restriction identity per (weight, params, digits,
-level) as one row per base, a polynomial in the shift made by the same
-Taylor step as the moment tables (`_taylor`, `_shift_row`) from the
-Volkenborn moments in closed form, and a ball is one Horner pass per base
-and one power of it.  A weighted ball value has one maker,
+level) in the moment tables' format, one row per base B = b q/rho, a
+polynomial in the shift, made from the Volkenborn moments in closed form;
+one builder (`_bases`) lowers f and makes every base and Taylor step of
+both tables.  A ball is one Horner pass per base and one power of it
+(`ball_values`).  A weighted ball value has one maker,
 `WeightedDistribution._batch`, and one store, `_ball_memo`, shared by every
 distribution with equal (f, params), one parameter pair and a bounded count
 at a time.  thm33's Riemann sums R_m = sum over a < p^m of g(a) mu_P(a +
 p^m Z_p) read the same rows and no ball value: each is one exact finite sum
-of moment sums (`limits.riemann_sums`).  On a 2-core machine that took
-`rhoq audit all --p 7` from 0.8-1.0 s to 0.5 s a process and `--p 11` from
-4.0-4.7 s to 2.5-3.1 s.
+of moment sums (`riemann_sums`).
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb
+from math import comb, isqrt
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
@@ -60,7 +59,7 @@ from .calculus import (
     vp_factorial,
 )
 from .measures import Ball, Distribution, rhoq_haar_measure
-from .padic import DomainError, PadicNumber, PrecisionError, _new, div, vp
+from .padic import DomainError, PadicNumber, PrecisionError, _new, div, padic_log, vp
 from .sequences import ApproximantSequence, default_target
 
 # ---------------------------------------------------------------------------
@@ -310,9 +309,9 @@ def lower(f: IntegrableFunction, params: RhoQParams, w: int) -> NormalForm:
 #: points per step of a `_moment_sums` pass (bounds its working lists)
 BLOCK = 1024
 
-#: entries per memo table (the moment tables, the per-level factors and the
-#: limit tables of `rhoq.limits`); the tables are keyed by the parameter
-#: pair, so a long-lived process that sees many pairs must not keep them all.
+#: entries per memo table (the moment, per-level factor and limit tables and
+#: the Bernoulli numbers); the tables are keyed by the parameter pair, so a
+#: long-lived process that sees many pairs must not keep them all.
 MEMO_SIZE = 4096
 
 #: weighted ball values held at once by `_ball_memo`, over all weights; after
@@ -346,6 +345,24 @@ def _moment_sums(c: int, count: int, ends: Sequence[int], mod: int) -> Iterator[
         yield tuple(sums)  # the list goes on adding up
 
 
+def _bases(
+    f: IntegrableFunction, params: RhoQParams, w: int, step: int
+) -> tuple[NormalForm, int, list[tuple[int, list[list[int]]]]]:
+    """f's normal form at w digits, p^W, and per base b (B, taylor) with
+    B = b q/rho mod p^W and taylor the `_taylor` step of P_b at step: what
+    the moment and limit tables make their rows from.  The zero form has no
+    base: every sum and limit of it vanishes."""
+    nf = lower(f, params, w)
+    params.require_digits(w)
+    mod = params.prime**nf.W
+    bases = [
+        (base * nf.ratio % mod, _taylor(coeffs, step, mod))
+        for base, coeffs in nf.terms
+        if any(coeffs)
+    ]
+    return nf, mod, bases
+
+
 @lru_cache(maxsize=MEMO_SIZE)
 def _moment_table(
     f: IntegrableFunction, params: RhoQParams, w: int, step: int, max_level: int
@@ -365,18 +382,11 @@ def _moment_table(
     one power B^a.  The T_m come from one `_moment_sums` pass over
     y < p^max_level.
     """
-    nf = lower(f, params, w)
-    params.require_digits(w)
-    p, mod = params.prime, params.prime**nf.W
-    ends = [p**m for m in range(max_level + 1)]
+    nf, mod, bases = _bases(f, params, w, step)
+    ends = [params.prime**m for m in range(max_level + 1)]
     tables = []
-    for base, coeffs in nf.terms:
-        if not any(coeffs):  # the zero form: every sum vanishes
-            tables.append((1, ()))
-            continue
-        B = base * nf.ratio % mod
-        taylor = _taylor(coeffs, step, mod)
-        sums = _moment_sums(pow(B, step, mod), len(coeffs), ends, mod)
+    for B, taylor in bases:
+        sums = _moment_sums(pow(B, step, mod), len(taylor), ends, mod)
         tables.append((B, tuple(_shift_row(taylor, t, mod) for t in sums)))
     return nf, tuple(tables)
 
@@ -444,7 +454,7 @@ def _evaluate(terms: Sequence[tuple], xs: Iterable[int], mod: int) -> list[int]:
     """sum over (B, P) in terms of B^x P(x) mod `mod`, per x in xs, each P
     highest degree first: a Horner pass per P and a power B^x, a single
     product when x follows the point before.  The one evaluator of a normal
-    form (`values`) and of a limit table (`limits.ball_values`)."""
+    form (`values`) and of a limit table (`ball_values`)."""
     out, last, powers = [], None, [1] * len(terms)
     for x in xs:
         r = 0
@@ -487,6 +497,208 @@ def values(
     known = digits - nf.deficiency
     PadicNumber.bounded_zero(p, known)  # PrecisionError when no digit is known
     return [_scaled(r, p, nf.v, known) for r in _evaluate(nf.terms, xs, p**nf.W)]
+
+
+# ---------------------------------------------------------------------------
+# the exact limits: weighted ball values and Riemann sums
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def bernoulli_number(m: int) -> Fraction:
+    """B_m with B_1 = -1/2: the classical Volkenborn integral of x^m.
+
+    From sum over j <= m of binom(m + 1, j) B_j = 0.  The sum reads B_j for
+    j ascending, so each call finds the ones below it cached and the calls
+    nest at most two deep."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    if m == 0:
+        return Fraction(1)
+    if m > 1 and m % 2:
+        return Fraction(0)
+    acc = Fraction(0)
+    b = 1  # binom(m + 1, j)
+    for j in range(m):
+        acc += b * bernoulli_number(j)
+        b = b * (m + 1 - j) // (j + 1)
+    return -acc / (m + 1)
+
+
+def _log(x: int, p: int, w: int) -> int:
+    """log x mod p^w for x ≡ 1 (mod p), x known mod p^w: log(x^(p^s))/p^s,
+    whose series starts at valuation s + 1 and so is about s + 1 times
+    shorter; x^(p^s) is known mod p^(w + s)."""
+    s = isqrt(w)
+    y = pow(x, p**s, p ** (w + s))
+    return padic_log(PadicNumber(p, 0, y, w + s)).residue(w + s) // p**s
+
+
+def _unit_factor(params: RhoQParams, n: int, W: int) -> int:
+    """S'/([p^n]/p^n) mod p^W: a unit, read from residues to W + ν(rho' - q')
+    and W + n digits."""
+    p, mod = params.prime, params.prime**W
+    at = params.lifted(n)
+    diff = params.rho_base - params.q_base
+    if diff:  # S' = (q' - rho')/log(q'/rho'), both of valuation e
+        e = vp(diff.numerator, p) + at.tower
+        num = (at.q_residue(W + e) - at.rho_residue(W + e)) % p ** (W + e) // p**e
+        den = _log(at.ratio_residue(W + e), p, W + e) // p**e
+        s = num * pow(den, -1, mod)
+    else:  # rho = q
+        s = at.rho_residue(W)
+    bracket = rhoq_integer(p**n, params, W + n)  # p^n times a unit known to W digits
+    return s * pow(bracket.unit, -1, mod) % mod
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _limit_table(
+    f: IntegrableFunction, params: RhoQParams, w: int, n: int
+) -> tuple[NormalForm, tuple]:
+    """f's normal form at w digits and, per base b, (B, row): B = b q/rho
+    mod p^W and row a polynomial in the shift a, highest degree first, with
+
+        mu_f(a + p^n Z_p) = p^-(v + n + 1) sum over (B, row) of B^a row(a).
+
+    The ball value is the limit over the inner levels M of the restriction
+    identity, at rho' = rho^(p^n), q' = q^(p^n):
+
+        mu_f(a + p^n Z_p) = lim_M 1/[p^n] * rho'^(p^M)/[p^M]' *
+                            sum over y < p^M of f(a + p^n y) (q/rho)^(a + p^n y),
+
+    a sum over the bases of B^a sum_y P_b(a + p^n y) C^y with C = B^(p^n).
+    The limit of each moment sum is the classical Volkenborn integral of
+    y^k C^y scaled by S' (Robert, A Course in p-adic Analysis, GTM 198,
+    ch. 5; T. Kim, q-Volkenborn integration, Russ. J. Math. Phys. 9 (2002)):
+
+        E_k = S' sum_j B_(j+k) u^j / j!,   u = log C = p^n log B,
+        S'  = (rho' - q')/(log rho' - log q'), or rho' at rho = q,
+
+    with B_1 = -1/2.  row is `_shift_row` of the moments p^(n + 1) E_k / [p^n],
+    every entry mod p^W.
+
+    The term count and the guard digits are fixed up front.  ν(B_m) >= -1
+    (von Staudt-Clausen) and ν(u) >= n + 1, so term j of p E_k / S' has
+    valuation at least (n + 1) j - ν_p(j!) >= (n + 1) j - (j - 1)/(p - 1),
+    which grows with j: the series stops at the first j where that bound
+    reaches W.  ν(log x) = ν(x - 1) on 1 + pZ_p, so S' is a unit and its
+    division costs n + ν(rho - q) digits, taken on its two operands; 1/[p^n]
+    costs n digits and the E_k one.
+    """
+    p = params.prime
+    nf, mod, bases = _bases(f, params, w, p**n)
+    W = nf.W
+    unit = _unit_factor(params, n, W)
+    # terms j < J: the bound (n + 1) j - (j - 1)/(p - 1) on ν of term j reaches W at J
+    J = 1
+    while (n + 1) * J - (J - 1) // (p - 1) < W:
+        J += 1
+    # u^j/j! = c_j L^j with L = log(B)/p and c_j = p^((n + 1) j - ν(j!)) / (j!/p^ν(j!))
+    cs, unit_fact = [1], 1
+    for j in range(1, J):
+        unit_fact = unit_fact * (j // p ** vp(j, p)) % mod
+        cs.append(p ** ((n + 1) * j - vp_factorial(j, p)) * pow(unit_fact, -1, mod) % mod)
+    degree = max((len(taylor) for _, taylor in bases), default=1) - 1
+    pbs = [_p_bernoulli(m, p, mod) for m in range(J + degree)]
+    tables = []
+    for B, taylor in bases:
+        L, power, ts = _log(B, p, W) // p, 1, []
+        for c in cs:
+            ts.append(c * power % mod)
+            power = power * L % mod
+        moments = [unit * sum(map(mul, ts, pbs[k:])) % mod for k in range(len(taylor))]
+        tables.append((B, _shift_row(taylor, moments, mod)))
+    return nf, tuple(tables)
+
+
+def _p_bernoulli(m: int, p: int, mod: int) -> int:
+    """p B_m mod `mod`: an integer, since p^2 divides no denominator of B_m."""
+    b = bernoulli_number(m) * p
+    return b.numerator * pow(b.denominator, -1, mod) % mod
+
+
+def ball_values(
+    f: IntegrableFunction, params: RhoQParams, n: int, reps: Sequence[int], digits: int
+) -> list[PadicNumber]:
+    """mu_f(a + p^n Z_p) for a in reps, to digits + 1 absolute digits (fewer
+    by the digits that coefficients known to fewer digits take off), off one
+    limit table: one Horner pass per base and one power B^a a ball
+    (`_evaluate`)."""
+    p = params.prime
+    nf, tables = _limit_table(f, params, digits + n + 2, n)
+    shift = nf.v + n + 1
+    known = min(digits + 1, nf.W - nf.deficiency - shift)
+    return [_scaled(x, p, shift, known) for x in _evaluate(tables, reps, p**nf.W)]
+
+
+def riemann_sums(
+    gs: Sequence[IntegrableFunction],
+    weights: Sequence[WeightedDistribution],
+    outer: Sequence[int],
+) -> list[list[list[PadicNumber]]]:
+    """Per g, weight and m in outer, R_m = sum over a < p^m of g(a)
+    mu_P(a + p^m Z_p), P the weight's `f`, exact to digits + 1 absolute
+    digits of the weight, fewer by the digits its inputs lack.
+
+    mu_P(a + p^m Z_p) = p^-(v + m + 1) sum_b B_b^a r_b(a) with r_b a row of
+    P's limit table at level m, the one its balls read.  With g lowered once
+    to p^-v_g sum_c Q_c(a) c^a, the sum over a is
+
+        p^-(v + m + 1 + v_g) sum over (b, c) and k of [Q_c r_b]_k U_k(m),
+
+    U_k(m) = sum over a < p^m of a^k (c B_b)^a.  The U come from one
+    `_moment_sums` pass per base c B_b over a < p^max(outer), read at each
+    level end.  g is lowered v digits deeper than the rows, so that its
+    digits cover |P| <= p^v; a g with |g| <= p^v_g takes v_g digits off
+    what the rows know.
+    """
+    params = weights[0].params
+    p, top = params.prime, max(outer)
+    # per weight and m, what the balls of level m read
+    reads = []
+    for weighted in weights:
+        d = weighted.digits
+        for m in outer:
+            nf, tables = _limit_table(weighted.f, params, d + m + 2, m)
+            reads.append((m, d, nf, tables))
+    w_g = max(weighted.digits for weighted in weights) + top + 2
+    w_g += max(nf.v for _, _, nf, _ in reads)
+    sums, needs = [], {}  # needs: (base mod p^K, K) -> the moments it needs
+    for g in gs:
+        form = lower(g, params, w_g)
+        for m, d, nf, tables in reads:
+            K = min(form.W, nf.W)
+            parts = []
+            for c, Q in form.terms:
+                for B, row in tables:
+                    key = c * B % p**K, K
+                    needs[key] = max(needs.get(key, 0), len(Q) + len(row) - 1)
+                    parts.append((key, Q[::-1], row[::-1]))
+            shift = nf.v + m + 1 + form.v
+            digits = min(d + 1, nf.W - nf.deficiency - shift, form.W - form.deficiency - shift)
+            sums.append((m, parts, shift, digits, bool(form.terms)))
+    # a pass serves every base congruent to its own mod p^K: made deepest K
+    # first, the pass of a base serves every K at or below the base's
+    served: dict[tuple[int, int], int] = {}
+    counts: dict[int, int] = {}
+    for (C, K), count in sorted(needs.items(), key=lambda item: -item[0][1]):
+        base = next((b for b in counts if b % p**K == C), C)
+        served[C, K], counts[base] = base, max(counts.get(base, 0), count)
+    mod = p ** max((K for _, K in needs), default=1)
+    ends = [p**m for m in range(top + 1)]
+    moments = {b: list(_moment_sums(b, count, ends, mod)) for b, count in counts.items()}
+
+    out, zero = [], PadicNumber.exact_zero(p)
+    for m, parts, shift, digits, nonzero in sums:
+        x = 0
+        for key, low, row in parts:
+            U = moments[served[key]][m]
+            # sum_k [Q r]_k U_k = sum_j r_j QU_j with QU_j = sum_i Q_i U_(i+j)
+            x += sum(r * sum(map(mul, low, U[j:])) for j, r in enumerate(row))
+        # an empty series g is the exact zero, as its values are
+        out.append(_scaled(x, p, shift, digits) if nonzero else zero)
+    per_level = iter(out)
+    return [[[next(per_level) for _ in outer] for _ in weights] for _ in gs]
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +844,7 @@ def _ball_memo(params: RhoQParams) -> dict[IntegrableFunction, dict[Ball, PadicN
 
 class WeightedDistribution(Distribution):
     """The f-weighted family as a Distribution: ball values, the exact limits
-    of the restriction identity (`limits.ball_values`), memoized in
+    of the restriction identity (`ball_values`), memoized in
     `_ball_memo(params)[f]`, which every instance with equal (f, params) shares
     (f and params hashed once per instance).  A new pair or `cache_clear()` drops
     the memo (an older instance keeps its dict); BALL_MEMO_SIZE bounds it."""
@@ -669,8 +881,6 @@ class WeightedDistribution(Distribution):
     def _batch(self, level: int, reps: Sequence[int]) -> list[PadicNumber]:
         """The values of the balls a + p^level Z_p, a in reps, off one limit
         table, memoized unless they alone pass BALL_MEMO_SIZE."""
-        from .limits import ball_values  # it imports this module
-
         p = self.params.prime
         out = ball_values(self.f, self.params, level, reps, self.digits)
         self._make_room(len(reps))
@@ -711,8 +921,6 @@ def bernoulli_comparison_report(a: int, params: RhoQParams, levels: Sequence[int
     Emitted as a comparison, never an assertion: the measured integral of 1 is
     rho for every level, which the printed formula does not reproduce.
     """
-    from .padic import padic_log
-
     d = params.precision
     p = params.prime
     seq = carlitz_bernoulli(0, a, params, levels)
@@ -787,7 +995,7 @@ def integral_against_weighted(
 
     P, the parameters and the precision are those of each distribution (its
     `f`, `params` and `digits`); the distributions share their parameters.
-    Each Riemann sum is one exact finite sum (`limits.riemann_sums`), not a
+    Each Riemann sum is one exact finite sum (`riemann_sums`), not a
     sum of ball values.  Returns both sequences and the fitted lhs/rhs
     ratio; whether that ratio is independent of g is for the caller (the
     audit battery) to decide.
@@ -798,8 +1006,6 @@ def integral_against_weighted(
     outer_levels = sorted(outer_levels)
     if not outer_levels or outer_levels[0] < 1:  # as the integrals of gP refuse them
         raise ValueError("levels must be >= 1")
-    from .limits import riemann_sums  # it imports this module
-
     sums = riemann_sums(gs, weights, outer_levels)
     return [
         [_comparison(g, w, s, outer_levels) for w, s in zip(weights, per_weight)]

@@ -286,14 +286,26 @@ class TestLevelRule:
 
 
 class TestToleranceRule:
-    """An audit's --tol is at least 1: at t <= 0 every difference agrees to
-    p^-t, so no agreement check could fail."""
+    """--tol is at least 1 on every command: at t <= 0 every difference
+    agrees to p^-t, so no agreement check could fail and every sequence
+    would read as converged."""
 
     @pytest.mark.parametrize("tol", ["0", "-3"])
     def test_audit_refuses_a_tolerance_below_one(self, tol):
         code, out, err = fresh_process(["audit", "all", "--tol", tol])
         message = "rhoq: error: tolerance exponent must be >= 1\n"
         assert (code, out, err) == (EXIT_ERROR, "", message)
+
+    @pytest.mark.parametrize("tol", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["integrate", "--function", "x", "--levels", "1:3"], ["rn-deriv", "--x", "3"]],
+        ids=["integrate", "rn-deriv"],
+    )
+    def test_every_command_refuses_a_tolerance_below_one(self, capsys, argv, tol):
+        code = main([*argv, "--tol", tol])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (EXIT_ERROR, "", "rhoq: error: tolerance exponent must be >= 1\n")
 
     def test_tolerance_one_runs(self, capsys):
         code = main(["audit", "all", "--p", "3", "--levels", "1:3", "--tol", "1"])

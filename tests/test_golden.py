@@ -110,7 +110,7 @@ def _leaves(x, path=""):
 V1 = Path(__file__).parent / "golden" / "v1"
 
 #: what moved, beyond `schema`, when thm33's ball values and Riemann sums
-#: became exact limits (`rhoq.limits`): some low-level rescaled ball values of
+#: became exact limits (`integration._limit_table`): some low-level rescaled ball values of
 #: the density extractions, whose last digits the Aitken estimates they
 #: replace had wrong (past the digits those estimates certified), and R_1
 #: (R_1 and R_2 at p = 3) of the integral identity's lhs, now equal to the

@@ -1,7 +1,9 @@
 """Cross-cutting checks: exact-rational oracles for the composed pipelines,
 classifier negatives, degenerate parameters and cross-prime smoke runs."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 from rhoq import integration
 from rhoq.audit import AuditConfig, audit_decomposition, audit_lipschitz, run_audits
@@ -265,3 +267,22 @@ class TestPublicNames:
         namespace: dict = {}
         exec("from rhoq import *", namespace)
         assert set(rhoq.__all__) <= set(namespace)
+
+
+class TestModuleImports:
+    def test_no_relative_import_inside_a_function(self):
+        """Each module of the package imports its siblings at load time: an
+        import deferred into a function is how two modules that need each
+        other hide their cycle."""
+        import rhoq
+
+        late = []
+        for path in sorted(Path(rhoq.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            top = set(map(id, tree.body))
+            late += [
+                "%s:%d" % (path.name, node.lineno)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level and id(node) not in top
+            ]
+        assert late == []

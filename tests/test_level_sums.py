@@ -24,7 +24,9 @@ from rhoq.integration import (
     WeightedDistribution,
     _ball_memo,
     _level_batch,
+    _limit_table,
     _moment_table,
+    ball_values,
     bracket_power,
     const,
     coordinate,
@@ -36,10 +38,10 @@ from rhoq.integration import (
     product,
     progression_sums,
     ratio_exponential,
+    riemann_sums,
     values,
     weighted_measure_sequence,
 )
-from rhoq.limits import _limit_table, ball_values, riemann_sums
 from rhoq.measures import Ball
 from rhoq.padic import PadicNumber, div, dot
 

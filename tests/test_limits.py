@@ -1,11 +1,12 @@
-"""The closed-form limits of `rhoq.limits`: every exact weighted ball value
-against the restriction identity's limit estimate, to the digits that
-estimate certifies, and against the benchmark's closed form
-(`perfbench/oracles.limit_value` at the lifted parameters), to every digit
-the value claims, where the same value claiming one wrong digit more fails;
-the Bernoulli numbers; the refusal of a series known to no digit; and the
-limit tables' bound.  The exact Riemann sums are checked against the same
-closed form in `test_level_sums.py`."""
+"""The exact limits of `rhoq.integration` (`_limit_table`, `ball_values`,
+`riemann_sums`): every exact weighted ball value against the restriction
+identity's limit estimate, to the digits that estimate certifies, and
+against the benchmark's closed form (`perfbench/oracles.limit_value` at the
+lifted parameters), to every digit the value claims, where the same value
+claiming one wrong digit more fails; the Bernoulli numbers; the bounded
+zeros of weights whose form is zero; the refusal of a series known to no
+digit; and the limit tables' bound.  The exact Riemann sums are checked
+against the same closed form in `test_level_sums.py`."""
 
 from fractions import Fraction
 
@@ -18,14 +19,18 @@ from rhoq.integration import (
     WEIGHTED_LEVELS,
     WeightedDistribution,
     _ball_memo,
+    _limit_table,
+    ball_values,
+    bernoulli_number,
     bracket_power,
     const,
     coordinate,
+    linear_combination,
     mahler_function,
     ratio_exponential,
+    riemann_sums,
     weighted_measure_sequence,
 )
-from rhoq.limits import _limit_table, ball_values, bernoulli_number, riemann_sums
 from rhoq.measures import Ball
 from rhoq.padic import PadicNumber, PrecisionError
 
@@ -79,6 +84,46 @@ def test_bernoulli_numbers():
     assert all(bernoulli_number(m).denominator % 9 for m in range(60))
     with pytest.raises(ValueError):
         bernoulli_number(-1)
+
+
+#: weights whose normal form is zero: the constant 0, the empty series, x - x
+ZERO_FORMS = [const(0), mahler_function(()), linear_combination([1, -1], [coordinate(), coordinate()])]
+#: (val, unit, digits) of O(p^7), the bounded zero at 6 + 1 digits
+Z = (7, 0, 0)
+#: per p, at 6 digits, the (val, unit, digits) of [x]'s balls a + p^n Z_p
+#: (a = 0, 1, p^n - 1; n = 1, 2) and of its Riemann sums of g = 1, x (m = 1, 2)
+BRACKET = {
+    3: (
+        [[(0, 802, 7), (-1, 2956, 8), (-1, 4772, 8)], [(0, 1192, 7), (-2, 487, 9), (-2, 14054, 9)]],
+        [[(1, 397, 6), (1, 397, 6)], [(-1, 5939, 8), (-1, 4202, 8)]],
+    ),
+    5: (
+        [[(0, 51437, 7), (-1, 7886, 8), (-1, 345189, 8)], [(0, 22812, 7), (-2, 1106001, 9), (-2, 135574, 9)]],
+        [[(0, 40162, 7), (0, 40162, 7)], [(0, 26156, 7), (0, 15951, 7)]],
+    ),
+}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_zero_forms_beside_a_bracket_give_bounded_zeros(p):
+    """A weight whose form is zero has the bounded zero for every ball and
+    Riemann sum, and leaves those of [x], read in the same call, as pinned."""
+    params = RhoQParams.from_offsets(p, 1, 2, 6)
+
+    def fields(v):
+        return v.val, v.unit, v.digits
+
+    balls = [
+        [fields(v) for v in ball_values(f, params, n, [0, 1, p**n - 1], 6)]
+        for f in ZERO_FORMS + [bracket_power(1)]
+        for n in (1, 2)
+    ]
+    weights = [WeightedDistribution(f, params) for f in ZERO_FORMS + [bracket_power(1)]]
+    sums = riemann_sums([const(1), coordinate()], weights, [1, 2])
+    sums = [[[fields(v) for v in per_level] for per_level in per_g] for per_g in sums]
+    assert balls == [[Z] * 3] * 6 + BRACKET[p][0]
+    assert [per_g[:3] for per_g in sums] == [[[Z, Z]] * 3] * 2
+    assert [per_g[3] for per_g in sums] == BRACKET[p][1]
 
 
 def test_a_series_known_to_no_digit_is_refused():

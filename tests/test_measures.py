@@ -11,6 +11,7 @@ from rhoq.integration import (
     WEIGHTED_LEVELS,
     WeightedDistribution,
     _ball_memo,
+    ball_values,
     bracket_power,
     weighted_measure_sequence,
 )
@@ -27,7 +28,6 @@ from rhoq.measures import (
     radon_nikodym_derivative,
     rhoq_haar_measure,
 )
-from rhoq.limits import ball_values
 from rhoq.padic import PadicNumber, padic_from_fraction, padic_from_integer
 
 from .oracles import haar_value, lipschitz_fraction_loop, rat_mod

@@ -18,7 +18,8 @@ import json
 
 import pytest
 
-from rhoq import cli, integration, limits
+from rhoq import cli, integration
+from rhoq.calculus import rhoq_integer
 from rhoq.integration import WeightedDistribution, _ball_memo
 from rhoq.measures import RhoQHaar
 from rhoq.padic import PadicNumber
@@ -113,18 +114,33 @@ def level_sum_leak(monkeypatch) -> None:
     normal form, a multiple of a measure that P does not weight.  As
     [p^n] p^(2 - n) converges, the rescaled ball values still converge, and
     the Riemann sums, which read the same rows, still do."""
-    table = limits._limit_table
+    table = integration._limit_table
 
     def mutant(f, params, w, n):
         nf, tables = table(f, params, w, n)
         p, mod = params.prime, params.prime**nf.W
         leaked = tuple(
-            (B, row[:-1] + ((row[-1] + p ** (nf.v + 3)) % mod,) if row else row)
+            (B, row[:-1] + ((row[-1] + p ** (nf.v + 3)) % mod,))
             for B, row in tables
         )
         return nf, leaked
 
-    monkeypatch.setattr(limits, "_limit_table", mutant)
+    monkeypatch.setattr(integration, "_limit_table", mutant)
+
+
+def keep_pn(monkeypatch) -> None:
+    """Lifted ball values not divided by [p^n]: the weight's limit rows times
+    [p^n], so mu_P(a + p^n Z_p), and the Riemann sums that read the same
+    rows, gain that factor."""
+    table = integration._limit_table
+
+    def mutant(f, params, w, n):
+        nf, tables = table(f, params, w, n)
+        p, mod = params.prime, params.prime**nf.W
+        bracket = rhoq_integer(p**n, params, nf.W).residue(nf.W)
+        return nf, tuple((B, tuple(c * bracket % mod for c in row)) for B, row in tables)
+
+    monkeypatch.setattr(integration, "_limit_table", mutant)
 
 
 @pytest.mark.parametrize(
@@ -134,8 +150,17 @@ def level_sum_leak(monkeypatch) -> None:
         # (iii) fails here through the density constant of (ii)
         (weight_twist, {DENSITY % k for k in KS} | {IDENTITY % k for k in KS}),
         (level_sum_leak, {DENSITY % k for k in KS} | {IDENTITY % k for k in KS}),
+        pytest.param(
+            keep_pn,
+            {DENSITY % k for k in KS} | {IDENTITY % k for k in KS},
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="(ii) and (iii) compare absolute differences, and the rescaled values"
+                " and the Riemann sums times [p^n] are near 0",
+            ),
+        ),
     ],
-    ids=["density_jump", "weight_twist", "level_sum_leak"],
+    ids=["density_jump", "weight_twist", "level_sum_leak", "keep_pn"],
 )
 def test_mutant_flips_exactly_these_checks(engine, capsys, mutant, flipped):
     honest = _verdicts(capsys)
