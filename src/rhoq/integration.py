@@ -35,12 +35,12 @@ level) in the moment tables' format, one row per base B = b q/rho, a
 polynomial in the shift, made from the Volkenborn moments in closed form;
 one builder (`_bases`) lowers f and makes every base and Taylor step of
 both tables.  A ball is one Horner pass per base and one power of it
-(`ball_values`).  A weighted ball value has one maker,
-`WeightedDistribution._batch`, and one store, `_ball_memo`, shared by every
-distribution with equal (f, params), one parameter pair and a bounded count
-at a time.  thm33's Riemann sums R_m = sum over a < p^m of g(a) mu_P(a +
-p^m Z_p) read the same rows and no ball value: each is one exact finite sum
-of moment sums (`riemann_sums`).
+(`ball_values`), so a weighted ball value is made anew at each read, one
+`ball_values` call per level of a `WeightedDistribution.values` read, and
+kept nowhere: the only stores are the tables keyed by their inputs.
+thm33's Riemann sums R_m = sum over a < p^m of g(a) mu_P(a + p^m Z_p) read
+the same rows and no ball value: each is one exact finite sum of moment
+sums (`riemann_sums`).
 """
 
 from __future__ import annotations
@@ -313,11 +313,6 @@ BLOCK = 1024
 #: the Bernoulli numbers); the tables are keyed by the parameter pair, so a
 #: long-lived process that sees many pairs must not keep them all.
 MEMO_SIZE = 4096
-
-#: weighted ball values held at once by `_ball_memo`, over all weights; after
-#: a default `rhoq audit all` it holds 888, after `rhoq audit all --p 7`
-#: 1,653, and after the benchmark's p = 3 report 359.
-BALL_MEMO_SIZE = 48_000
 
 
 def _moment_sums(c: int, count: int, ends: Sequence[int], mod: int) -> Iterator[tuple[int, ...]]:
@@ -836,57 +831,28 @@ def weighted_measure_direct(
 WEIGHTED_LEVELS = range(1, 6)
 
 
-@lru_cache(maxsize=1)
-def _ball_memo(params: RhoQParams) -> dict[IntegrableFunction, dict[Ball, PadicNumber]]:
-    """The weighted ball values at params: one Ball-keyed dict per weight."""
-    return {}
-
-
 class WeightedDistribution(Distribution):
     """The f-weighted family as a Distribution: ball values, the exact limits
-    of the restriction identity (`ball_values`), memoized in
-    `_ball_memo(params)[f]`, which every instance with equal (f, params) shares
-    (f and params hashed once per instance).  A new pair or `cache_clear()` drops
-    the memo (an older instance keeps its dict); BALL_MEMO_SIZE bounds it."""
+    of the restriction identity (`ball_values`), made anew at each read off
+    the limit tables."""
 
     family = "weighted"
 
     def __init__(self, f: IntegrableFunction, params: RhoQParams):
         super().__init__(params)
         self.f = f
-        self._weights = _ball_memo(params)
-        self._memo = self._weights.setdefault(f, {})
-
-    def _make_room(self, n: int) -> None:
-        """Empty every weight's dict if n more values would pass BALL_MEMO_SIZE."""
-        if sum(map(len, self._weights.values())) + n > BALL_MEMO_SIZE:
-            for memo in self._weights.values():
-                memo.clear()
 
     def values(self, balls: Sequence[Ball]) -> list[PadicNumber]:
-        """The balls not in the memo are made by one `_batch` per level."""
-        found, missing = {}, {}
+        """One `ball_values` call per level, over the level's distinct reps in
+        first-seen order."""
+        reps: dict[int, dict[int, None]] = {}
         for ball in balls:
-            hit = self._memo.get(ball)
-            if hit is None:
-                missing.setdefault(ball.level, {})[ball.rep] = None
-            else:
-                found[ball] = hit
-        p = self.params.prime
-        for level, reps in missing.items():
-            made = self._batch(level, list(reps))
-            found.update(zip((Ball(p, a, level) for a in reps), made))
-        return [found[ball] for ball in balls]
-
-    def _batch(self, level: int, reps: Sequence[int]) -> list[PadicNumber]:
-        """The values of the balls a + p^level Z_p, a in reps, off one limit
-        table, memoized unless they alone pass BALL_MEMO_SIZE."""
-        p = self.params.prime
-        out = ball_values(self.f, self.params, level, reps, self.digits)
-        self._make_room(len(reps))
-        if len(reps) <= BALL_MEMO_SIZE:
-            self._memo.update(zip((Ball(p, a, level) for a in reps), out))
-        return out
+            reps.setdefault(ball.level, {})[ball.rep] = None
+        made = {
+            level: dict(zip(at, ball_values(self.f, self.params, level, list(at), self.digits)))
+            for level, at in reps.items()
+        }
+        return [made[ball.level][ball.rep] for ball in balls]
 
     def describe(self) -> dict:
         d = super().describe()

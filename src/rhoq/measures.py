@@ -49,31 +49,21 @@ class Ball:
 # ---------------------------------------------------------------------------
 
 
-def _per_level(make: Callable) -> Callable:
-    """make(self, level), kept in the instance's `_levels` table: made once per level."""
-    def once(self, level: int):
-        hit = self._levels.get((make, level))
-        if hit is None:
-            hit = self._levels[make, level] = make(self, level)
-        return hit
-    return once
-
-
 class Distribution:
     """Lazy ball function: a ball's value is made when it is read, by
     `values(balls)`, the one method a family defines.
 
     Values are pure given the parameters and known to `digits`, the
-    precision of the parameters.  Only what the balls of one level share is
-    kept, in `_levels` (the `_per_level` methods; atomic dict writes,
-    idempotent entries), and each ball is remade from it when read.
+    precision of the parameters.  An object keeps only its inputs: what the
+    balls of one level share (`_scale` and a family's other per-level
+    quantities) is made once per distinct level in each `values` call, and
+    each ball is made anew when read.
     """
 
     family = "abstract"
 
     def __init__(self, params: RhoQParams):
         self.params = params
-        self._levels: dict[tuple[Callable, int], object] = {}
 
     @property
     def digits(self) -> int:
@@ -87,8 +77,8 @@ class Distribution:
         that makes a level's balls together makes them in one batch per level)."""
         raise NotImplementedError
 
-    @_per_level
     def _scale(self, level: int) -> PadicNumber:
+        """[p^level] at digits + level."""
         return rhoq_integer(self.params.prime**level, self.params, self.digits + level)
 
     def rescaled(self, ball: Ball) -> PadicNumber:
@@ -126,16 +116,17 @@ def _haar_numerator(rep: int, factors: tuple[int, int, int, int, int]) -> PadicN
 class RhoQHaar(Distribution):
     family = "rhoq_haar"
 
-    @_per_level
     def _factors(self, level: int) -> tuple[int, int, int, int, int]:
         return _haar_factors(self.params, level, self.digits + level)
 
     def values(self, balls: Sequence[Ball]) -> list[PadicNumber]:
         """`rhoq_haar_measure` at `digits` for each ball: its numerator off the
-        level's shared factors, over the [p^N] of `rescaled`."""
-        return [
-            _haar_numerator(b.rep, self._factors(b.level)) / self._scale(b.level) for b in balls
-        ]
+        level's shared factors, over the [p^N] of `rescaled`, both made once
+        per level."""
+        levels = {b.level for b in balls}
+        factors = {N: self._factors(N) for N in levels}
+        scales = {N: self._scale(N) for N in levels}
+        return [_haar_numerator(b.rep, factors[b.level]) / scales[b.level] for b in balls]
 
 
 class LinearCombination(Distribution):
@@ -154,7 +145,6 @@ class LinearCombination(Distribution):
         """The fewest digits of the parts."""
         return min(d.digits for _, d in self.parts)
 
-    @_per_level
     def _coefficients(self, level: int) -> list[PadicNumber]:
         """The coefficients, integers taken at digits + 2 level + 2."""
         p, w = self.params.prime, self.digits + 2 * level + 2
@@ -162,9 +152,10 @@ class LinearCombination(Distribution):
 
     def values(self, balls: Sequence[Ball]) -> list[PadicNumber]:
         """Each part reads all the balls in one call; a ball is one `dot` of
-        the level's coefficients with its parts' values."""
+        the level's coefficients, made once per level, with its parts' values."""
         columns = [dist.values(balls) for _, dist in self.parts]
-        return [dot(self._coefficients(b.level), row) for b, row in zip(balls, zip(*columns))]
+        coefficients = {N: self._coefficients(N) for N in {b.level for b in balls}}
+        return [dot(coefficients[b.level], row) for b, row in zip(balls, zip(*columns))]
 
 
 def difference(d1: Distribution, d2: Distribution) -> LinearCombination:
@@ -187,14 +178,15 @@ class DensityScaled(Distribution):
         super().__init__(params)
         self.density = density
 
-    @_per_level
     def _haar(self, level: int) -> PadicNumber:
         """The Haar value of p^level Z_p at digits + level."""
         params = self.params
         return rhoq_haar_measure(Ball(params.prime, 0, level), params, self.digits + level)
 
     def values(self, balls: Sequence[Ball]) -> list[PadicNumber]:
-        return [self._haar(b.level) * self.density(b.rep) for b in balls]
+        """The density at each rep times the level's Haar value, made once per level."""
+        haar = {N: self._haar(N) for N in {b.level for b in balls}}
+        return [haar[b.level] * self.density(b.rep) for b in balls]
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +271,13 @@ def check_invariance(
     n = len(sample_points)
     rows = {N: values[i * n : (i + 1) * n] for i, N in enumerate(read)}
 
+    scales = {N: dist._scale(N) for N in read}
+
     # the sups are taken on integer exponents: |d| = p^-ν(d), 0 for a zero residue
     deltas: list[Fraction] = []
     c_table: list[Fraction] = []
     for N in levels:
-        scale_lo, scale_hi = dist._scale(N), dist._scale(N + 1)
+        scale_lo, scale_hi = scales[N], scales[N + 1]
         e_delta = e_c = None
         for v, v_hi in zip(rows[N], rows[N + 1]):
             d = scale_lo * v - scale_hi * v_hi
@@ -373,7 +367,7 @@ def densities(
     in xs, in order.
 
     Every (x, N) ball is read in one `dist.values` call, level by level, and
-    each level's [p^N] is taken once for all the points.
+    each level's [p^N] (`dist._scale(N)`) is made once for all the points.
     """
     if any(x < 0 for x in xs):
         raise ValueError("x must be a nonnegative integer")
@@ -382,10 +376,10 @@ def densities(
     levels = sorted(levels)
     values = dist.values([Ball(p, x, N) for N in levels for x in xs])
     n = len(xs)
-    rows = [
-        [(N, dist._scale(N) * v) for v in values[i * n : (i + 1) * n]]
-        for i, N in enumerate(levels)
-    ]
+    rows = []
+    for i, N in enumerate(levels):
+        scale = dist._scale(N)
+        rows.append([(N, scale * v) for v in values[i * n : (i + 1) * n]])
     return [
         ApproximantSequence.build(
             p, [row[j] for row in rows], t, note="rescaled ball values at x=%d" % x

@@ -57,10 +57,11 @@ def test_audit_report_is_byte_identical_to_golden():
     assert _audit(ARGV) == GOLDEN.read_bytes()
 
 
-def test_audit_report_on_a_warm_ball_memo_is_byte_identical_to_golden(capsys):
-    """The same report in one process after others: after a seed-7 report at
-    its parameters, whose ball values it then reads off the memo, and after a
-    p = 5 report, which has put another parameter pair in the memo."""
+def test_audit_report_after_other_reports_in_one_process_is_byte_identical_to_golden(capsys):
+    """The same report in one process after others, on warm input-keyed
+    tables: after a seed-7 report at its parameters, whose moment and limit
+    tables it then reads, and after a p = 5 report, which has put another
+    parameter pair in them."""
     seed_7 = ARGV[:-1] + ["7"]
     for earlier in (seed_7, ["audit", "thm33", "--p", "5", "--levels", "1:3"]):
         cli.main(earlier)
@@ -91,8 +92,9 @@ def test_p11_lipschitz_audit_report_is_byte_identical_to_golden():
 
 def test_thm33_report_past_the_ball_memo_is_byte_identical_to_golden():
     """thm33 at p = 7, levels 1:5: its Riemann sums reach level 5, 7^5 balls
-    a weight, and make no ball value; its invariance and density checks make
-    theirs in one batch per level of each read."""
+    a weight (past the 48,000 values a bounded ball memo once held), and
+    make no ball value; its invariance and density checks make theirs in one
+    batch per level of each read."""
     golden = Path(__file__).parent / "golden" / "audit_thm33_p7_prec12_levels1-5_seed1.json"
     assert _audit(["audit", "thm33", "--p", "7", "--levels", "1:5"]) == golden.read_bytes()
 

@@ -8,9 +8,8 @@ and divisions they replace; a whole level of weighted ball values in one
 batch against single balls and the restriction identity's limit estimates;
 thm33's exact Riemann sums against the sums of ball values they stand for
 and against Fraction sums of closed-form ball values; the table lookups of
-one thm33 report, on a cold and on a warm ball memo; and its integral
-identity, which reads each level once, makes no ball value and prints the
-same bytes on a small ball memo."""
+one thm33 report, on cold and on warm tables; and its integral identity,
+which reads each level once and makes no ball value."""
 
 from fractions import Fraction
 
@@ -22,7 +21,6 @@ from rhoq.calculus import RhoQParams, rhoq_integer
 from rhoq.integration import (
     WEIGHTED_LEVELS,
     WeightedDistribution,
-    _ball_memo,
     _level_batch,
     _limit_table,
     _moment_table,
@@ -238,12 +236,12 @@ REGIMES = {"deformed": (1, 2), "classical": (0, 0), "rho=q": (1, 1)}
 @pytest.mark.parametrize("regime", list(REGIMES))
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_level_batch_matches_single_balls(p, regime):
-    """A whole level of balls from one `_batch` against `ball_values` one
-    ball at a time, field for field, and against the restriction identity's
-    limit estimate (`weighted_measure_sequence`), to the digits it
+    """A whole level of balls from one `values` call against `ball_values`
+    one ball at a time, field for field, and against the restriction
+    identity's limit estimate (`weighted_measure_sequence`), to the digits it
     certifies, on every ball of levels 1..3; one ball is read through
-    `value` before its level's batch and one after, and the memo serves the
-    second from the batch."""
+    `value` before its level's batch and one after, and both are the
+    batch's values."""
     params = RhoQParams.from_offsets(p, *REGIMES[regime], 8)
     d = params.precision
     weights = (
@@ -261,7 +259,7 @@ def test_level_batch_matches_single_balls(p, regime):
     for f in weights:
         dist = WeightedDistribution(f, params)
         before = dist.value(Ball(p, 1, 2))
-        levels = {m: dist._batch(m, range(p**m)) for m in (1, 2, 3)}
+        levels = {m: dist.values([Ball(p, a, m) for a in range(p**m)]) for m in (1, 2, 3)}
         for m, batch in levels.items():
             assert len(batch) == p**m
             for a, v in enumerate(batch):
@@ -272,7 +270,7 @@ def test_level_batch_matches_single_balls(p, regime):
                     assert v.agrees(seq.limit_estimate(), seq.best_certified), case
         assert fields(levels[2][1]) == fields(before)
         after = Ball(p, p + 2, 3)
-        assert dist.value(after) is levels[3][p + 2]
+        assert fields(dist.value(after)) == fields(levels[3][p + 2])
         if f == const(0):
             assert all(v.is_zero_residue and not v.is_exact_zero for v in levels[3])
 
@@ -291,7 +289,7 @@ def _gs(p):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_riemann_terms_match_the_sums_of_ball_terms(p, regime):
     """Each Riemann sum R_m against the sum it stands for, `dot` of g's
-    values with the p^m ball values of level m from one `_batch`: equal
+    values with the p^m ball values of level m from one `values` call: equal
     residue for residue to the precision of the less precise of the two,
     and R_m never the less precise."""
     params = RhoQParams.from_offsets(p, *REGIMES[regime], 8)
@@ -303,7 +301,7 @@ def test_riemann_terms_match_the_sums_of_ball_terms(p, regime):
         for weighted, per_level in zip(weights, per_weight):
             for m, new in zip(outer, per_level):
                 grid = values(g, params, range(p**m), weighted.digits + 30)
-                old = dot(grid, weighted._batch(m, range(p**m)))
+                old = dot(grid, weighted.values([Ball(p, a, m) for a in range(p**m)]))
                 case = (g.describe(), weighted.f.describe(), m)
                 assert (new - old).is_zero_residue, case
                 assert new.abs_precision >= old.abs_precision, case
@@ -349,43 +347,38 @@ def _lookups() -> int:
 
 def test_moment_table_lookups_of_one_thm33_report(capsys):
     """The moment- and limit-table lookups of `audit thm33 --p 3 --levels
-    1:5 --tol 5` on cold tables: 55, one per level batch of ball values and
+    1:5 --tol 5` on cold tables: 61, one per level of each `values` read and
     one per integral.  Its integral identity makes 27 (see the next test),
-    the invariance checks 12 (levels 1..4 of each weight, one batch a level),
-    the density extractions 12 (the six points of a weight read in one call,
-    whose balls not already made come one batch a level: levels 3 and 4,
-    where the invariance sample misses some, and 5 and 6, which it does not
-    read) and the 4 Bernoulli-type integrals of the side reports the
-    rest.  All three tables are cleared first: ball values that an earlier
-    report left in the ball memo make fewer lookups."""
+    the invariance checks 12 (levels 1..4 of each weight, one `ball_values`
+    call a level), the density extractions 18 (the six points of a weight
+    read in one call, one `ball_values` call for each of levels 1..6) and
+    the 4 Bernoulli-type integrals of the side reports the rest.  No ball
+    value is kept, so the same report again makes the same 61 lookups, now
+    all hits."""
     argv = ["audit", "thm33", "--p", "3", "--levels", "1:5", "--tol", "5"]
     _moment_table.cache_clear()
     _limit_table.cache_clear()
-    _ball_memo.cache_clear()
     assert cli.main(argv) == 0
-    assert _lookups() == 55
-    # the same report again reads every ball value off the memo the first
-    # left; what remains is the 27 lookups of its integral identity, which
-    # reads no ball value, and the 4 Bernoulli-type integrals
-    before = _lookups()
+    assert _lookups() == 61
+    before, misses = _lookups(), _limit_table.cache_info().misses
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert _lookups() - before == 31
+    assert _lookups() - before == 61
+    assert _limit_table.cache_info().misses == misses
 
 
 def test_one_thm33_report_reads_each_level_once(monkeypatch, capsys):
     """`audit thm33 --p 3 --levels 1:5 --tol 5` on cold tables: its integral
     identity (`integral_against_weighted`) reads each level once, as one
     limit table per (weight, outer level), 3 x 5, and one moment table per
-    integral of gP, 12, and makes no `WeightedDistribution` ball value.  On
-    a ball memo bounded at 500 values the report prints the same bytes."""
+    integral of gP, 12, and makes no `WeightedDistribution` ball value."""
     argv = ["audit", "thm33", "--p", "3", "--levels", "1:5", "--tol", "5"]
-    batches = []
-    batch = WeightedDistribution._batch
+    made = []
+    ball_values = integration.ball_values
 
-    def counted(self, level, reps):
-        batches.append(len(reps))
-        return batch(self, level, reps)
+    def counted(f, params, level, reps, digits):
+        made.append(len(reps))
+        return ball_values(f, params, level, reps, digits)
 
     def lookups():
         return tuple(t.cache_info().hits + t.cache_info().misses for t in (_limit_table, _moment_table))
@@ -394,24 +387,16 @@ def test_one_thm33_report_reads_each_level_once(monkeypatch, capsys):
     inside = []
 
     def measured(*args):
-        made, looked_up = len(batches), lookups()
+        balls, looked_up = len(made), lookups()
         out = identity(*args)
-        inside.append((len(batches) - made, *(b - a for a, b in zip(looked_up, lookups()))))
+        inside.append((len(made) - balls, *(b - a for a, b in zip(looked_up, lookups()))))
         return out
 
-    monkeypatch.setattr(WeightedDistribution, "_batch", counted)
+    monkeypatch.setattr(integration, "ball_values", counted)
     monkeypatch.setattr(audit, "integral_against_weighted", measured)
-
-    def report():
-        inside.clear()
-        _moment_table.cache_clear()
-        _limit_table.cache_clear()
-        _ball_memo.cache_clear()
-        assert cli.main(argv) == 0
-        return capsys.readouterr().out
-
-    at_default = report()
-    assert inside == [(0, 15, 12)]
-    monkeypatch.setattr(integration, "BALL_MEMO_SIZE", 500)
-    assert report() == at_default
+    _moment_table.cache_clear()
+    _limit_table.cache_clear()
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert made
     assert inside == [(0, 15, 12)]

@@ -18,7 +18,6 @@ from rhoq.integration import (
     MEMO_SIZE,
     WEIGHTED_LEVELS,
     WeightedDistribution,
-    _ball_memo,
     _limit_table,
     ball_values,
     bernoulli_number,
@@ -147,7 +146,6 @@ def test_limit_tables_are_bounded_and_made_only_for_weighted_reads(capsys):
     _limit_table.cache_clear()
     assert cli.main(["integrate", "--function", "[x]^2", "--p", "3"]) == 0
     assert _limit_table.cache_info().currsize == 0
-    _ball_memo.cache_clear()
     assert cli.main(["audit", "thm33", "--p", "3", "--levels", "1:5", "--tol", "5"]) == 0
     capsys.readouterr()
     assert _limit_table.cache_info().currsize > 0

@@ -2,9 +2,9 @@
 
 Each mutant is a monkeypatch that keeps honest precision: a value it changes
 keeps the digits it had.  A mutant of the ball layer patches the one place
-each family makes its values, the Haar family's `values` and
-`WeightedDistribution._batch`, so it sees every read, batched or not.  Each
-test runs one audit (`audit thm33 --p 3 --levels 1:5 --tol 5`, or thm31 or
+each family makes its values, the Haar and the weighted family's `values`,
+so it sees every read, batched or not.  Each test runs one audit
+(`audit thm33 --p 3 --levels 1:5 --tol 5`, or thm31 or
 thm34 at the same flags) under one mutant and asserts exactly which checks
 it flips from their verdict on the honest engine to FAIL; every other check
 keeps its verdict.  thm33's integral identity (iii) reads no ball value, so
@@ -20,7 +20,7 @@ import pytest
 
 from rhoq import cli, integration
 from rhoq.calculus import rhoq_integer
-from rhoq.integration import WeightedDistribution, _ball_memo
+from rhoq.integration import WeightedDistribution
 from rhoq.measures import RhoQHaar
 from rhoq.padic import PadicNumber
 
@@ -41,17 +41,6 @@ def _verdicts(capsys, theorem: str = "thm33") -> dict[str, str]:
     return {check["name"]: check["verdict"] for check in report["checks"]}
 
 
-@pytest.fixture
-def engine(monkeypatch):
-    """Ball values are made anew at every read, so a mutant sees each one,
-    and none made under a mutant outlives the test."""
-    monkeypatch.setattr(integration, "BALL_MEMO_SIZE", 0)
-    _ball_memo.cache_clear()
-    yield monkeypatch
-    monkeypatch.undo()
-    _ball_memo.cache_clear()
-
-
 def _scale_balls(monkeypatch, hit, factor) -> None:
     """The value of a + p^n Z_p, of the Haar family and of mu_P, times
     factor(p, d) where hit(p, a, n), d the value's unit digits."""
@@ -59,18 +48,13 @@ def _scale_balls(monkeypatch, hit, factor) -> None:
     def scaled(p, a, n, v):
         return v * factor(p, v.digits) if v.unit and hit(p, a, n) else v
 
-    batch, haar = WeightedDistribution._batch, RhoQHaar.values
+    for family in (WeightedDistribution, RhoQHaar):
 
-    def weighted_mutant(self, level, reps):
-        p = self.params.prime
-        return [scaled(p, a, level, v) for a, v in zip(reps, batch(self, level, reps))]
+        def mutant(self, balls, honest=family.values):
+            p = self.params.prime
+            return [scaled(p, b.rep, b.level, v) for b, v in zip(balls, honest(self, balls))]
 
-    def haar_mutant(self, balls):
-        p = self.params.prime
-        return [scaled(p, b.rep, b.level, v) for b, v in zip(balls, haar(self, balls))]
-
-    monkeypatch.setattr(WeightedDistribution, "_batch", weighted_mutant)
-    monkeypatch.setattr(RhoQHaar, "values", haar_mutant)
+        monkeypatch.setattr(family, "values", mutant)
 
 
 def _times(c):
@@ -162,10 +146,10 @@ def keep_pn(monkeypatch) -> None:
     ],
     ids=["density_jump", "weight_twist", "level_sum_leak", "keep_pn"],
 )
-def test_mutant_flips_exactly_these_checks(engine, capsys, mutant, flipped):
+def test_mutant_flips_exactly_these_checks(monkeypatch, capsys, mutant, flipped):
     honest = _verdicts(capsys)
     assert set(honest.values()) == {"PASS", "MEASURED"}
-    mutant(engine)
+    mutant(monkeypatch)
     mutated = _verdicts(capsys)
     assert {name: v for name, v in mutated.items() if v != honest[name]} == dict.fromkeys(
         flipped, "FAIL"
@@ -218,10 +202,10 @@ def test_mutant_flips_exactly_these_checks(engine, capsys, mutant, flipped):
         "thm34-last_level_spike",
     ],
 )
-def test_ball_maker_mutant_flips_exactly_these_checks(engine, capsys, theorem, mutant, flipped):
+def test_ball_maker_mutant_flips_exactly_these_checks(monkeypatch, capsys, theorem, mutant, flipped):
     honest = _verdicts(capsys, theorem)
     assert set(honest.values()) == {"PASS"}
-    mutant(engine)
+    mutant(monkeypatch)
     mutated = _verdicts(capsys, theorem)
     assert {name: v for name, v in mutated.items() if v != honest[name]} == dict.fromkeys(
         flipped, "FAIL"
